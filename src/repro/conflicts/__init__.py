@@ -3,11 +3,10 @@
 from repro.conflicts.detection import DetectionReport, detect_conflicts, violations_of
 from repro.conflicts.executor import (
     ChaosPlan,
-    HandoffReport,
     Ownership,
+    ProcessLink,
     ProcessShardExecutor,
     WorkerEvent,
-    WorkerStatus,
     load_ownership,
     store_ownership,
 )
@@ -20,7 +19,7 @@ from repro.conflicts.hypergraph import (
 from repro.conflicts.incremental import DeltaStats, IncrementalDetector
 from repro.conflicts.replica import ReplicaHypergraph, ReplicaSync
 from repro.conflicts.shard import (
-    MergedHypergraph,
+    HandoffReport,
     RebalanceMove,
     ShardCoordinator,
     ShardPlan,
@@ -29,6 +28,7 @@ from repro.conflicts.shard import (
     ShardStatus,
     ShardWorker,
     TopicResume,
+    WorkerLink,
     choose_move,
     merge_graphs,
     plan_assignment,
@@ -39,11 +39,10 @@ __all__ = [
     "detect_conflicts",
     "violations_of",
     "ChaosPlan",
-    "HandoffReport",
     "Ownership",
+    "ProcessLink",
     "ProcessShardExecutor",
     "WorkerEvent",
-    "WorkerStatus",
     "load_ownership",
     "store_ownership",
     "ConflictHypergraph",
@@ -54,7 +53,7 @@ __all__ = [
     "IncrementalDetector",
     "ReplicaHypergraph",
     "ReplicaSync",
-    "MergedHypergraph",
+    "HandoffReport",
     "RebalanceMove",
     "ShardCoordinator",
     "ShardPlan",
@@ -63,6 +62,7 @@ __all__ = [
     "ShardStatus",
     "ShardWorker",
     "TopicResume",
+    "WorkerLink",
     "choose_move",
     "merge_graphs",
     "plan_assignment",

@@ -1,59 +1,58 @@
-"""Multi-process shard execution with live topic rebalancing.
+"""Shard workers in their own OS processes: the process link.
 
-:class:`~repro.conflicts.shard.ShardCoordinator` proved the sharded
-hypergraph correct in-process; this module runs the same workers as
-real OS processes.  Each :class:`~repro.conflicts.shard.ShardWorker`
-lives in its own ``multiprocessing`` process (spawn-safe: workers
-attach to the durable feed *by directory path* and rebuild everything
-from disk), and talks to the coordinating
-:class:`ProcessShardExecutor` over a small control-message protocol:
+:class:`~repro.conflicts.shard.ShardCoordinator` holds the whole shard
+state machine -- plan seeding, the five-step handoff, rebalancing,
+drains, checkpoints, dead-worker status, the merged graph -- and reaches
+each worker through a :class:`~repro.conflicts.shard.WorkerLink`.  This
+module supplies the second link and the one coordinator subclass that
+uses it:
 
-* **Heartbeats** -- each worker periodically sends its status (lag,
-  edge count, committed offsets, pid) over its pipe; the parent drains
-  them opportunistically while waiting for replies.
-* **Requests** -- ``status`` / ``drain`` / ``sync`` / ``checkpoint`` /
-  ``export`` / ``reshape`` / ``graph`` / ``stop``, matched to replies
-  by request id.  ``reshape`` carries the pickled
+* :class:`ProcessLink` runs one :class:`~repro.conflicts.shard.ShardWorker`
+  in its own ``multiprocessing`` process.  The worker attaches to the
+  durable feed *by directory path* and rebuilds everything from disk,
+  so the entry point is spawn-safe; the platform's default start method
+  is used.  Each link op is a control request over a pipe -- the op is
+  the :class:`~repro.conflicts.shard.WorkerLink` method name, matched to
+  its reply by request id -- and the worker sends **heartbeats** (its
+  status) between requests.  Like an in-process worker, it syncs only
+  when asked to.  ``reshape`` carries the pickled
   :class:`~repro.conflicts.shard.ShardSpec` /
   :class:`~repro.conflicts.shard.ShardPlan`, so ownership grants ride
   the same channel.
 
-**Ownership.**  The executor persists the topic -> worker assignment
-in ``shards.json`` inside the feed directory (atomic write, fsync
-before rename).  The persisted map -- not the constructor arguments --
-is authoritative on re-attach, and bumping it is the *commit point* of
-the five-step handoff protocol (see
-:meth:`~repro.conflicts.shard.ShardCoordinator.handoff`; the executor
-drives the same steps over the control channel).  A worker's own
-durable half is its consumer-group registration: resubscribing pins
-the adopted topic at the handoff cut, so retention floors follow
-ownership automatically.
+* :class:`ProcessShardExecutor` is a
+  :class:`~repro.conflicts.shard.ShardCoordinator` that spawns its
+  workers through process links and adds what only processes need:
 
-**Supervision.**  :meth:`ProcessShardExecutor.supervise` detects dead
-workers (exit code) and hung ones (no heartbeat within the timeout),
-SIGKILLs the hung, and respawns both kinds.  A respawned worker
-bootstraps ``bootstrap="snapshot"`` -- its group snapshot plus the
-retained suffix, cost proportional to what it missed -- then
-*reconciles*: it re-attaches under the subscription its group actually
-has on disk (a crash mid-handoff leaves the registration ahead of or
-behind the plan) and reshapes to the plan's spec, adopting any pending
-transfer packets.  Every crash point of the handoff protocol therefore
-converges to the planned state after one supervision pass.
-
-**Rebalancing.**  :meth:`ProcessShardExecutor.rebalance` feeds live
-per-worker status into the pure
-:func:`~repro.conflicts.shard.choose_move` chooser (owned-topic lag
-plus hypergraph edge counts) and executes the chosen move as a live
-handoff.  The CLI's ``.rebalance`` runs the same chooser as a dry-run
-advisor against the persisted state.
-
-**Chaos.**  A :class:`ChaosPlan` arms a worker process to SIGKILL
-*itself* at a named pipeline phase (``apply`` after records hit the
-database but before the offset commit, ``checkpoint`` just before the
-snapshot store, ``release`` / ``adopt`` inside the handoff) -- the
-fault-injection seam ``tests/chaos/`` drives.  Parent-side kill points
-(before/after the ownership commit) use :meth:`ProcessShardExecutor.kill`
-from a handoff ``on_step`` callback instead.
+  - **Ownership.**  It persists the topic -> worker assignment in
+    ``shards.json`` inside the feed directory (atomic write, fsync
+    before rename).  The persisted map -- not the constructor arguments
+    -- is authoritative on re-attach, and bumping it is the *commit
+    point* (step ``granted``) of the handoff.  A worker's own durable
+    half is its consumer-group registration: resubscribing pins the
+    adopted topic at the handoff cut, so retention floors follow
+    ownership automatically.  The in-process coordinator keeps no
+    manifest: one feed directory may be sharded by coordinators of
+    different worker counts in turn.
+  - **Supervision.**  :meth:`ProcessShardExecutor.supervise` detects
+    dead workers (exit code) and hung ones (no heartbeat within
+    :data:`HEARTBEAT_TIMEOUT`), SIGKILLs the hung, and respawns both
+    kinds.  A respawned worker bootstraps ``bootstrap="snapshot"`` --
+    its group snapshot plus the retained suffix, cost proportional to
+    what it missed -- then *reconciles*: it re-attaches under the
+    subscription its group actually has on disk (a crash mid-handoff
+    leaves the registration ahead of or behind the plan) and reshapes
+    to the plan's spec, adopting any pending transfer packets.  Every
+    crash point of the handoff protocol therefore converges to the
+    planned state after one supervision pass.
+  - **Chaos.**  A :class:`ChaosPlan` arms a worker process to SIGKILL
+    *itself* at a named pipeline phase (``apply`` after records hit the
+    database but before the offset commit, ``checkpoint`` just before
+    the snapshot store, ``release`` / ``adopt`` inside the handoff) --
+    the fault-injection seam ``tests/chaos/`` drives.  Parent-side kill
+    points (before/after the ownership commit) use
+    :meth:`ProcessShardExecutor.kill` from a handoff ``on_step``
+    callback instead.
 """
 
 from __future__ import annotations
@@ -64,28 +63,47 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.conflicts.hypergraph import ConflictHypergraph
+from repro.conflicts.replica import ReplicaSync
 from repro.conflicts.shard import (
-    RebalanceMove,
+    ShardCoordinator,
     ShardPlan,
     ShardReshape,
     ShardSpec,
+    ShardStatus,
     ShardWorker,
-    choose_move,
-    merge_graphs,
-    plan_assignment,
+    WorkerLink,
 )
 from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
 from repro.errors import ExecutorError, FeedError
 
 #: The ownership manifest inside the feed directory.
 OWNERSHIP_FILE = "shards.json"
+#: Worker heartbeat cadence, seconds.
+HEARTBEAT_INTERVAL = 0.25
+#: A live worker silent this long is declared hung by ``supervise``.
+HEARTBEAT_TIMEOUT = 10.0
+#: Parent-side deadline per control request, seconds (covers bootstrap:
+#: the first request blocks until the worker finishes attaching).
+REQUEST_TIMEOUT = 60.0
+#: The link ops a worker process serves (``close`` is the stop request).
+REMOTE_OPS = frozenset(
+    {
+        "status",
+        "sync",
+        "drain",
+        "checkpoint",
+        "export_topic",
+        "reshape",
+        "shard_graph",
+        "close",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -123,55 +141,12 @@ class WorkerEvent:
 
 
 @dataclass(frozen=True)
-class WorkerStatus:
-    """One worker's row in :meth:`ProcessShardExecutor.status`.
-
-    A dead worker (process exited, or request failed) is reported with
-    ``alive=False`` and its lag computed from its group's *registered*
-    offsets against the feed end -- lagging, never silently absent.
-    """
-
-    index: int
-    group: str
-    pid: Optional[int]
-    alive: bool
-    ready: bool
-    lag: int
-    edges: int
-    committed: dict[str, int]
-    owned: tuple[str, ...]
-    restore_mode: str
-    applied_records: dict[str, int]
-    respawns: int
-    exitcode: Optional[int]
-
-
-@dataclass(frozen=True)
-class HandoffReport:
-    """What one :meth:`ProcessShardExecutor.handoff` did: the new plan
-    plus each reshaped worker's :class:`ShardReshape` (the adopting
-    entries carry the resume cuts for the no-re-bootstrap assertion)."""
-
-    plan: ShardPlan
-    reshapes: Dict[int, ShardReshape]
-
-
-@dataclass(frozen=True)
 class Ownership:
     """The persisted topic -> worker assignment (``shards.json``)."""
 
     workers: int
     owner: dict[str, int]
     epoch: int
-
-
-def _atomic_json(path: Path, payload: dict) -> None:
-    temp = path.with_suffix(path.suffix + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"), allow_nan=False)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
 
 
 def load_ownership(directory: str | os.PathLike) -> Optional[Ownership]:
@@ -196,9 +171,10 @@ def load_ownership(directory: str | os.PathLike) -> Optional[Ownership]:
 
 
 def store_ownership(directory: str | os.PathLike, ownership: Ownership) -> None:
-    """Atomically persist the ownership manifest (fsync before rename:
-    the grant must never be half-visible to a re-attaching executor)."""
-    _atomic_json(
+    """Atomically persist the ownership manifest with the feed's own
+    durable writer (fsync before rename: the grant must never be
+    half-visible to a re-attaching executor)."""
+    ChangeFeed._atomic_json(
         Path(directory) / OWNERSHIP_FILE,
         {
             "workers": ownership.workers,
@@ -227,21 +203,8 @@ class _ProcessWorker(ShardWorker):
         if self.chaos_hits > plan.after:
             os.kill(os.getpid(), signal.SIGKILL)
 
-
-def _status_payload(worker: ShardWorker) -> dict:
-    return {
-        "group": worker.group,
-        "pid": os.getpid(),
-        "ready": worker.ready,
-        "lag": worker.lag,
-        "edges": len(worker.graph.edges) if worker.ready else 0,
-        "committed": worker.committed,
-        "owned": list(worker.spec.owned),
-        "subscribed": sorted(worker.topics or ()),
-        "restore_mode": worker.restore_mode,
-        "restore_records": worker.restore_records,
-        "applied_records": dict(worker.applied_records),
-    }
+    def status(self) -> ShardStatus:
+        return replace(super().status(), pid=os.getpid())
 
 
 def _construct(
@@ -249,18 +212,9 @@ def _construct(
     spec: ShardSpec,
     plan: ShardPlan,
     group: str,
-    options: dict,
     chaos: Optional[ChaosPlan],
 ) -> ShardWorker:
-    worker = _ProcessWorker(
-        feed,
-        spec,
-        plan,
-        group=group,
-        snapshots=True,
-        checkpoint_records=options.get("checkpoint_records"),
-        bootstrap="snapshot",
-    )
+    worker = _ProcessWorker(feed, spec, plan, group=group, bootstrap="snapshot")
     worker.chaos = chaos
     worker.chaos_hits = 0
     return worker
@@ -271,7 +225,8 @@ def _attach_worker(
     spec: ShardSpec,
     plan: ShardPlan,
     group: str,
-    options: dict,
+    chaos: Optional[ChaosPlan],
+    checkpoint_on_attach: bool,
 ) -> ShardWorker:
     """Attach (or re-attach) the shard worker, reconciling a respawn.
 
@@ -284,7 +239,6 @@ def _attach_worker(
     checkpoint) is dropped from the registration and re-adopted from
     its still-pending packet, which has pinned the suffix all along.
     """
-    chaos = options.get("chaos")
     target = frozenset(
         {str(t).lower() for t in spec.subscribed} | {SCHEMA_TOPIC}
     )
@@ -294,7 +248,7 @@ def _attach_worker(
         boot_topics = frozenset(point.topics) | {SCHEMA_TOPIC}
     boot_spec = replace(spec, subscribed=tuple(sorted(boot_topics)))
     try:
-        worker = _construct(feed, boot_spec, plan, group, options, chaos)
+        worker = _construct(feed, boot_spec, plan, group, chaos)
     except FeedError:
         pending = set(feed.transfers())
         reduced = frozenset(
@@ -304,82 +258,49 @@ def _attach_worker(
             raise  # nothing in flight explains the failure
         feed.update_subscription(group, reduced)
         boot_spec = replace(spec, subscribed=tuple(sorted(reduced)))
-        worker = _construct(feed, boot_spec, plan, group, options, chaos)
+        worker = _construct(feed, boot_spec, plan, group, chaos)
     if frozenset(worker.topics or ()) != target:
         worker.reshape(spec, plan)
-    elif options.get("checkpoint_on_attach"):
+        return worker
+    worker.spec = spec
+    worker.constraints = list(spec.constraints)
+    if checkpoint_on_attach:
         # A respawn that needed no reshape still re-establishes its
         # floor: the fresh checkpoint covers topics adopted by a
         # crashed handoff, letting the supervisor sweep their packets.
-        worker.spec = spec
-        worker.constraints = list(spec.constraints)
         worker.checkpoint()
-    else:
-        worker.spec = spec
-        worker.constraints = list(spec.constraints)
     return worker
 
 
 def _handle(worker: ShardWorker, conn: Connection, message: dict) -> bool:
-    """Serve one control message; returns False on ``stop``."""
+    """Serve one control request -- a link op called by name on the
+    worker; returns False once the worker was closed (``close``)."""
     op = message.get("op")
-    ident = message.get("id")
+    reply: dict = {"kind": "reply", "id": message.get("id"), "ok": True}
     try:
-        value: object = None
-        if op == "stop":
-            worker.close()
-            conn.send({"kind": "reply", "id": ident, "ok": True, "value": None})
-            return False
-        if op == "status":
-            value = _status_payload(worker)
-        elif op == "sync":
-            sync = worker.sync(message.get("limit"))
-            value = {"records": sync.records, "lag": sync.lag, "mode": sync.mode}
-        elif op == "drain":
-            while worker.lag:
-                worker.sync()
-            value = _status_payload(worker)
-        elif op == "checkpoint":
-            worker.checkpoint()
-            value = worker.committed
-        elif op == "export":
-            value = worker.export_topic(str(message["topic"]))
-        elif op == "reshape":
-            value = worker.reshape(message["spec"], message["plan"])
-        elif op == "graph":
-            value = worker.graph if worker.ready else None
-        else:
+        if op not in REMOTE_OPS:
             raise ExecutorError(f"unknown control op {op!r}")
-        conn.send({"kind": "reply", "id": ident, "ok": True, "value": value})
+        reply["value"] = getattr(worker, str(op))(*message.get("args", ()))
     except Exception as exc:
-        conn.send(
-            {
-                "kind": "reply",
-                "id": ident,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-    return True
+        reply.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+    conn.send(reply)
+    return op != "close"
 
 
-def _serve(worker: ShardWorker, conn: Connection, options: dict) -> None:
-    """The worker loop: control messages, bounded syncs, heartbeats."""
-    interval = float(options.get("heartbeat_interval", 0.25))
-    limit = options.get("sync_limit", 512)
-    last_beat = 0.0
+def _serve(worker: ShardWorker, conn: Connection) -> None:
+    """The worker loop: serve control requests, heartbeat between them.
+
+    The worker syncs only when a request asks it to -- exactly like an
+    in-process worker -- so the coordinator alone decides when shards
+    advance, whichever link reaches them."""
+    last_beat = time.monotonic()
     while True:
-        while conn.poll(0):
+        if conn.poll(HEARTBEAT_INTERVAL):
             if not _handle(worker, conn, conn.recv()):
                 return
-        sync = worker.sync(limit)
-        now = time.monotonic()
-        if sync.records or now - last_beat >= interval:
-            conn.send({"kind": "heartbeat", "status": _status_payload(worker)})
-            last_beat = now
-        if not sync.records and sync.lag == 0:
-            # Idle: block on the control channel instead of spinning.
-            conn.poll(interval)
+        if time.monotonic() - last_beat >= HEARTBEAT_INTERVAL:
+            conn.send({"kind": "heartbeat", "status": worker.status()})
+            last_beat = time.monotonic()
 
 
 def _worker_main(
@@ -388,16 +309,17 @@ def _worker_main(
     plan: ShardPlan,
     group: str,
     conn: Connection,
-    options: dict,
+    chaos: Optional[ChaosPlan],
+    checkpoint_on_attach: bool,
 ) -> None:
     """Entry point of one shard worker process (spawn-safe: everything
     it needs arrives as arguments; state rebuilds from the feed
     directory)."""
     feed = ChangeFeed(directory)
     try:
-        worker = _attach_worker(feed, spec, plan, group, options)
-        conn.send({"kind": "heartbeat", "status": _status_payload(worker)})
-        _serve(worker, conn, options)
+        worker = _attach_worker(feed, spec, plan, group, chaos, checkpoint_on_attach)
+        conn.send({"kind": "heartbeat", "status": worker.status()})
+        _serve(worker, conn)
     except (EOFError, BrokenPipeError):
         return  # the parent went away; nothing to report to
     except Exception as exc:
@@ -413,42 +335,212 @@ def _worker_main(
 # --------------------------------------------------------------- parent side
 
 
-@dataclass
-class _WorkerHandle:
-    index: int
-    group: str
-    process: BaseProcess
-    conn: Connection
-    last_beat: float
-    last_status: dict = field(default_factory=dict)
-    respawns: int = 0
+class ProcessLink:
+    """A :class:`~repro.conflicts.shard.WorkerLink` to a shard worker
+    running in its own OS process.
+
+    Construction starts the process.  Every op is one control request
+    over the pipe, waiting for its reply and recording the heartbeats
+    that arrive in between; it raises
+    :class:`~repro.errors.ExecutorError` when the worker is dead, dies
+    mid-request, reports a failure, or misses :data:`REQUEST_TIMEOUT`.
+    """
+
+    def __init__(
+        self,
+        directory: Path,
+        spec: ShardSpec,
+        plan: ShardPlan,
+        group: str,
+        chaos: Optional[ChaosPlan] = None,
+        checkpoint_on_attach: bool = False,
+        respawns: int = 0,
+    ) -> None:
+        self.index = spec.index
+        self.respawns = respawns
+        self._next_request = 0
+        parent_conn, child_conn = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_worker_main,
+            args=(
+                str(directory),
+                spec,
+                plan,
+                group,
+                child_conn,
+                chaos,
+                checkpoint_on_attach,
+            ),
+            name=group,
+            daemon=True,
+        )
+        self.process.start()
+        child_conn.close()
+        self.conn = parent_conn
+        self.last_beat = time.monotonic()
+        #: The newest status the worker reported (a placeholder until
+        #: its first heartbeat): what a dead worker's row is built from.
+        self.last_status = ShardStatus(
+            index=spec.index,
+            group=group,
+            alive=False,
+            ready=False,
+            lag=0,
+            edges=0,
+            owned=spec.owned,
+            subscribed=spec.subscribed,
+            committed={},
+            restore_mode="replay",
+            applied_records={},
+        )
+
+    # --------------------------------------------------------------- ops
+
+    def status(self) -> ShardStatus:
+        """The worker's live status; once it is dead, its last reported
+        status marked ``alive=False`` (the coordinator fills in lag and
+        offsets from the group's registration)."""
+        try:
+            row: ShardStatus = self._request("status")
+        except ExecutorError:
+            row = replace(
+                self.last_status,
+                alive=False,
+                pid=self.process.pid,
+                exitcode=self.process.exitcode,
+            )
+        return replace(row, respawns=self.respawns)
+
+    def sync(self, limit: Optional[int] = None) -> ReplicaSync:
+        return self._request("sync", limit)
+
+    def drain(self) -> int:
+        return self._request("drain")
+
+    def checkpoint(self) -> None:
+        self._request("checkpoint")
+
+    def export_topic(self, topic: str) -> int:
+        return self._request("export_topic", topic)
+
+    def reshape(self, spec: ShardSpec, plan: ShardPlan) -> ShardReshape:
+        return self._request("reshape", spec, plan)
+
+    def shard_graph(self) -> Optional[ConflictHypergraph]:
+        return self._request("shard_graph")
+
+    def close(self) -> None:
+        """Stop the worker (it checkpoints and detaches); one that does
+        not stop within the request timeout is killed."""
+        if self.process.is_alive():
+            try:
+                self._request("close")
+            except ExecutorError:
+                self.process.kill()
+        self.process.join(5)
+        self.conn.close()
+
+    def kill(self) -> None:
+        """SIGKILL the worker process; its group registration survives."""
+        self.process.kill()
+        self.process.join(5)
+        self.conn.close()
+
+    def failure(self) -> Optional[str]:
+        """Why the worker needs a respawn -- ``"exit:<code>"`` when its
+        process or pipe is gone, ``"heartbeat-timeout"`` when it has
+        been silent for :data:`HEARTBEAT_TIMEOUT` -- or None while it
+        is healthy.  Drains pending heartbeats without blocking."""
+        usable = self._drain_heartbeats()
+        alive = usable and self.process.is_alive()
+        if alive and time.monotonic() - self.last_beat <= HEARTBEAT_TIMEOUT:
+            return None
+        return "heartbeat-timeout" if alive else f"exit:{self.process.exitcode}"
+
+    # ---------------------------------------------------------- plumbing
+
+    def _heartbeat(self, message: dict) -> None:
+        self.last_beat = time.monotonic()
+        self.last_status = message["status"]
+
+    def _request(self, op: str, *args: object) -> Any:
+        """Send one control request and wait for its reply, recording
+        heartbeats (and dropping stale replies of timed-out requests)
+        on the way."""
+        ident = self._next_request
+        self._next_request += 1
+        try:
+            self.conn.send({"id": ident, "op": op, "args": args})
+        except (BrokenPipeError, OSError) as exc:
+            raise ExecutorError(
+                f"worker {self.index} is dead (cannot send {op!r})"
+            ) from exc
+        deadline = time.monotonic() + REQUEST_TIMEOUT
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ExecutorError(f"worker {self.index} timed out on {op!r}")
+            try:
+                ready = self.conn.poll(min(remaining, 0.1))
+                message = self.conn.recv() if ready else None
+            except (EOFError, OSError) as exc:
+                raise ExecutorError(
+                    f"worker {self.index} died during {op!r}"
+                    f" (exit {self.process.exitcode})"
+                ) from exc
+            if message is None:
+                if not self.process.is_alive():
+                    raise ExecutorError(
+                        f"worker {self.index} died during {op!r}"
+                        f" (exit {self.process.exitcode})"
+                    )
+                continue
+            kind = message.get("kind")
+            if kind == "heartbeat":
+                self._heartbeat(message)
+            elif kind == "fatal":
+                raise ExecutorError(
+                    f"worker {self.index} failed: {message.get('error')}"
+                )
+            elif kind == "reply" and message.get("id") == ident:
+                if not message.get("ok"):
+                    raise ExecutorError(
+                        f"worker {self.index} {op!r} failed:"
+                        f" {message.get('error')}"
+                    )
+                return message.get("value")
+            # Anything else is a stale reply of a timed-out request.
+
+    def _drain_heartbeats(self) -> bool:
+        """Non-blocking heartbeat drain.  Returns False when the pipe
+        hit EOF -- the worker is gone even if the kernel has not reaped
+        the process yet."""
+        while True:
+            try:
+                if not self.conn.poll(0):
+                    return True
+                message = self.conn.recv()
+            except (EOFError, OSError):
+                return False
+            if message.get("kind") == "heartbeat":
+                self._heartbeat(message)
 
 
-class ProcessShardExecutor:
-    """Run each shard worker in its own OS process, with supervision,
-    live topic handoff and lag-driven rebalancing.
+class ProcessShardExecutor(ShardCoordinator):
+    """A :class:`~repro.conflicts.shard.ShardCoordinator` whose workers
+    each run in their own OS process behind a :class:`ProcessLink`,
+    with supervision and a persisted ownership grant.
 
     Args:
-        directory: the durable feed directory; workers attach to it by
-            path with their own reader instances.
+        directory: the durable feed directory.  The executor opens (and
+            closes) its own :class:`~repro.engine.feed.ChangeFeed` on
+            it; every worker process attaches its own reader by path.
         constraints: the full constraint set.
-        workers: worker-process count.  Ignored when ``shards.json``
-            already exists in the directory -- the persisted ownership
-            (and its worker count) is authoritative on re-attach.
-        relations / assignment: initial plan inputs (see
-            :func:`~repro.conflicts.shard.plan_assignment`); ignored on
-            re-attach for the same reason.
-        group_prefix: consumer groups are named ``{prefix}-{index}``.
-        mp_context: ``"spawn"`` (default; the production shape) or
-            ``"fork"`` (cheap starts for respawn-heavy test schedules).
-        heartbeat_interval: worker status cadence, seconds.
-        heartbeat_timeout: a live process silent this long is declared
-            hung, SIGKILLed and respawned by :meth:`supervise`.
-        sync_limit: records per bounded worker sync.
-        checkpoint_records: auto-checkpoint cadence per worker.
-        request_timeout: parent-side deadline per control request
-            (covers bootstrap: the first request blocks until the
-            worker finishes attaching).
+        workers / assignment: initial plan inputs (see
+            :func:`~repro.conflicts.shard.plan_assignment`).  Both are
+            ignored when ``shards.json`` already exists in the
+            directory -- the persisted ownership (and its worker count)
+            is authoritative on re-attach.
         chaos: ``{worker index: ChaosPlan}`` armed at first spawn only
             (respawns come up clean, so a kill schedule terminates).
 
@@ -462,504 +554,70 @@ class ProcessShardExecutor:
         directory: str | os.PathLike,
         constraints: Iterable[object],
         workers: int = 2,
-        relations: Iterable[str] = (),
         assignment: Optional[Dict[str, int]] = None,
-        group_prefix: str = "shard",
-        mp_context: str = "spawn",
-        heartbeat_interval: float = 0.25,
-        heartbeat_timeout: float = 10.0,
-        sync_limit: int = 512,
-        checkpoint_records: Optional[int] = None,
-        request_timeout: float = 60.0,
         chaos: Optional[Dict[int, ChaosPlan]] = None,
     ) -> None:
         self.directory = Path(directory)
-        self.constraints = list(constraints)
-        self.group_prefix = group_prefix
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.sync_limit = sync_limit
-        self.checkpoint_records = checkpoint_records
-        self.request_timeout = request_timeout
         self.chaos = dict(chaos or {})
-        self._ctx = multiprocessing.get_context(mp_context)
-        self._next_request = 0
-        self._handles: dict[int, _WorkerHandle] = {}
-        self._closed = False
-        self.feed = ChangeFeed(self.directory)
+        ownership = load_ownership(self.directory)
+        self.epoch = 0
+        if ownership is not None:
+            workers, assignment = ownership.workers, ownership.owner
+            self.epoch = ownership.epoch
+        feed = ChangeFeed(self.directory)
         try:
-            ownership = load_ownership(self.directory)
-            if ownership is not None:
-                self.workers = ownership.workers
-                self._assignment = dict(ownership.owner)
-                self.epoch = ownership.epoch
-            else:
-                self.feed.refresh()
-                discovered = [
-                    t.name
-                    for t in self.feed.topics()
-                    if t.name != SCHEMA_TOPIC
-                ]
-                seeded = plan_assignment(
-                    self.constraints,
-                    workers,
-                    relations=[*discovered, *relations],
-                    assignment=assignment,
-                )
-                self.workers = workers
-                self._assignment = dict(seeded.topic_owner)
-                self.epoch = 0
-                self._store_ownership()
-            self.plan = self._replan()
-            for spec in self.plan.shards:
-                self._spawn(spec.index)
+            super().__init__(feed, constraints, workers, assignment=assignment)
+            if ownership is None or ownership.owner != self.plan.topic_owner:
+                self._store_ownership(self.plan)
             self.status()  # block until every worker bootstrapped
             self.sweep_transfers()
         except BaseException:
             self.close()
             raise
 
-    # ----------------------------------------------------------- lifecycle
+    def _attach(self, index: int, respawn: bool = False) -> WorkerLink:
+        """Spawn worker ``index`` behind a :class:`ProcessLink`.  A
+        respawn comes up without its chaos plan and checkpoints on
+        attach, so :meth:`sweep_transfers` can clear the packets of a
+        handoff that crashed after adoption."""
+        return ProcessLink(
+            self.directory,
+            self.plan.shards[index],
+            self.plan,
+            f"{self.group_prefix}-{index}",
+            chaos=None if respawn else self.chaos.get(index),
+            checkpoint_on_attach=respawn,
+            respawns=self._link(index).respawns + 1 if respawn else 0,
+        )
 
-    def __enter__(self) -> "ProcessShardExecutor":
-        return self
+    def _link(self, index: int) -> ProcessLink:
+        link = self.workers[index]
+        assert isinstance(link, ProcessLink)
+        return link
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    def _grant(self, plan: ShardPlan) -> None:
+        """Persist the new assignment to ``shards.json`` -- the
+        handoff's commit point -- then swap the plan."""
+        self.epoch += 1
+        self._store_ownership(plan)
+        super()._grant(plan)
 
-    def close(self) -> None:
-        """Stop every worker (each checkpoints and detaches) and close
-        the parent's feed handle.  Workers that refuse to stop within
-        the request timeout are killed."""
-        if self._closed:
-            return
-        self._closed = True
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            if handle.process.is_alive():
-                try:
-                    self._request(handle, "stop")
-                except ExecutorError:
-                    handle.process.kill()
-            handle.process.join(5)
-            handle.conn.close()
-        self._handles.clear()
-        self.feed.close()
-
-    # ------------------------------------------------------------ plumbing
-
-    def _store_ownership(self) -> None:
+    def _store_ownership(self, plan: ShardPlan) -> None:
         store_ownership(
             self.directory,
             Ownership(
-                workers=self.workers,
-                owner=self._assignment,
+                workers=len(plan.shards),
+                owner=dict(plan.topic_owner),
                 epoch=self.epoch,
             ),
         )
 
-    def _replan(self) -> ShardPlan:
-        """The current plan from the persisted assignment, newly
-        discovered topics assigned and persisted."""
-        self.feed.refresh()
-        discovered = [
-            t.name for t in self.feed.topics() if t.name != SCHEMA_TOPIC
-        ]
-        plan = plan_assignment(
-            self.constraints,
-            self.workers,
-            relations=discovered,
-            assignment=self._assignment,
-        )
-        if plan.topic_owner != self._assignment:
-            self._assignment = dict(plan.topic_owner)
-            self._store_ownership()
-        return plan
-
-    def _spawn(
-        self,
-        index: int,
-        chaos_armed: bool = True,
-        checkpoint_on_attach: bool = False,
-    ) -> _WorkerHandle:
-        spec = self.plan.shards[index]
-        group = f"{self.group_prefix}-{index}"
-        parent_conn, child_conn = self._ctx.Pipe()
-        options = {
-            "heartbeat_interval": self.heartbeat_interval,
-            "sync_limit": self.sync_limit,
-            "checkpoint_records": self.checkpoint_records,
-            "chaos": self.chaos.get(index) if chaos_armed else None,
-            "checkpoint_on_attach": checkpoint_on_attach,
-        }
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(str(self.directory), spec, self.plan, group, child_conn,
-                  options),
-            name=group,
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        previous = self._handles.get(index)
-        handle = _WorkerHandle(
-            index=index,
-            group=group,
-            process=process,
-            conn=parent_conn,
-            last_beat=time.monotonic(),
-            respawns=previous.respawns if previous is not None else 0,
-        )
-        self._handles[index] = handle
-        return handle
-
-    def _request(
-        self,
-        handle: _WorkerHandle,
-        op: str,
-        timeout: Optional[float] = None,
-        **payload: object,
-    ) -> object:
-        """Send one control request and wait for its reply, draining
-        heartbeats (and stale replies of timed-out requests) on the
-        way.
-
-        Raises:
-            ExecutorError: when the worker is dead, dies mid-request,
-                reports a failure, or the deadline passes.
-        """
-        ident = self._next_request
-        self._next_request += 1
-        try:
-            handle.conn.send({"id": ident, "op": op, **payload})
-        except (BrokenPipeError, OSError) as exc:
-            raise ExecutorError(
-                f"worker {handle.index} is dead (cannot send {op!r})"
-            ) from exc
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.request_timeout
-        )
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ExecutorError(
-                    f"worker {handle.index} timed out on {op!r}"
-                )
-            try:
-                ready = handle.conn.poll(min(remaining, 0.1))
-                message = handle.conn.recv() if ready else None
-            except (EOFError, OSError) as exc:
-                raise ExecutorError(
-                    f"worker {handle.index} died during {op!r}"
-                    f" (exit {handle.process.exitcode})"
-                ) from exc
-            if message is None:
-                if not handle.process.is_alive():
-                    raise ExecutorError(
-                        f"worker {handle.index} died during {op!r}"
-                        f" (exit {handle.process.exitcode})"
-                    )
-                continue
-            kind = message.get("kind")
-            if kind == "heartbeat":
-                handle.last_beat = time.monotonic()
-                handle.last_status = message.get("status", {})
-                continue
-            if kind == "fatal":
-                raise ExecutorError(
-                    f"worker {handle.index} failed: {message.get('error')}"
-                )
-            if kind == "reply" and message.get("id") == ident:
-                if not message.get("ok"):
-                    raise ExecutorError(
-                        f"worker {handle.index} {op!r} failed:"
-                        f" {message.get('error')}"
-                    )
-                return message.get("value")
-            # A stale reply for an earlier timed-out request: drop it.
-
-    def _drain_messages(self, handle: _WorkerHandle) -> bool:
-        """Non-blocking heartbeat drain (the supervisor's read path).
-        Returns False when the pipe hit EOF -- the worker is gone even
-        if the kernel has not reaped the process yet."""
-        while True:
-            try:
-                if not handle.conn.poll(0):
-                    return True
-                message = handle.conn.recv()
-            except (EOFError, OSError):
-                return False
-            if message.get("kind") == "heartbeat":
-                handle.last_beat = time.monotonic()
-                handle.last_status = message.get("status", {})
-
-    def _dead_status(self, handle: _WorkerHandle) -> WorkerStatus:
-        """Status for a dead worker from its group's *registered* state
-        -- it must show up lagging, never silently absent."""
-        self.feed.refresh()
-        ends = self.feed.end_offsets()
-        point = self.feed.recovery_points().get(handle.group)
-        committed = dict(point.committed) if point is not None else {}
-        topics = point.topics if point is not None else None
-        lag = sum(
-            max(end - committed.get(name, 0), 0)
-            for name, end in ends.items()
-            if topics is None or name in topics
-        )
-        last = handle.last_status
-        return WorkerStatus(
-            index=handle.index,
-            group=handle.group,
-            pid=handle.process.pid,
-            alive=False,
-            ready=False,
-            lag=lag,
-            edges=int(last.get("edges", 0)),
-            committed=committed,
-            owned=tuple(self.plan.shards[handle.index].owned),
-            restore_mode=str(last.get("restore_mode", "replay")),
-            applied_records=dict(last.get("applied_records", {})),
-            respawns=handle.respawns,
-            exitcode=handle.process.exitcode,
-        )
-
-    # -------------------------------------------------------------- status
-
-    def status(self) -> list[WorkerStatus]:
-        """Live per-worker status over the control channel; dead
-        workers are reported lagging from their registered offsets."""
-        rows: list[WorkerStatus] = []
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            try:
-                payload = self._request(handle, "status")
-            except ExecutorError:
-                rows.append(self._dead_status(handle))
-                continue
-            assert isinstance(payload, dict)
-            rows.append(
-                WorkerStatus(
-                    index=index,
-                    group=handle.group,
-                    pid=int(payload["pid"]),
-                    alive=True,
-                    ready=bool(payload["ready"]),
-                    lag=int(payload["lag"]),
-                    edges=int(payload["edges"]),
-                    committed=dict(payload["committed"]),
-                    owned=tuple(payload["owned"]),
-                    restore_mode=str(payload["restore_mode"]),
-                    applied_records=dict(payload["applied_records"]),
-                    respawns=handle.respawns,
-                    exitcode=None,
-                )
-            )
-        return rows
-
-    @property
-    def lag(self) -> int:
-        """Pending records across all workers (dead ones included)."""
-        return sum(row.lag for row in self.status())
-
-    def drain(self, timeout: Optional[float] = None) -> list[WorkerStatus]:
-        """Ask every worker to sync until its lag is zero.  With a
-        quiescent, flushed writer the workers then sit at an aligned
-        cut.  Returns their statuses at the cut.
-
-        Raises:
-            ExecutorError: when a worker is dead or hangs past the
-                timeout -- run :meth:`supervise` and retry.
-        """
-        rows: list[WorkerStatus] = []
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            payload = self._request(handle, "drain", timeout=timeout)
-            assert isinstance(payload, dict)
-            rows.append(
-                WorkerStatus(
-                    index=index,
-                    group=handle.group,
-                    pid=int(payload["pid"]),
-                    alive=True,
-                    ready=bool(payload["ready"]),
-                    lag=int(payload["lag"]),
-                    edges=int(payload["edges"]),
-                    committed=dict(payload["committed"]),
-                    owned=tuple(payload["owned"]),
-                    restore_mode=str(payload["restore_mode"]),
-                    applied_records=dict(payload["applied_records"]),
-                    respawns=handle.respawns,
-                    exitcode=None,
-                )
-            )
-        return rows
-
-    def merged_graph(self) -> ConflictHypergraph:
-        """The merged shard view, assembled from the workers' graphs
-        over the control channel (workers still deferred contribute
-        nothing)."""
-        graphs: list[ConflictHypergraph] = []
-        for index in sorted(self._handles):
-            value = self._request(self._handles[index], "graph")
-            if value is not None:
-                assert isinstance(value, ConflictHypergraph)
-                graphs.append(value)
-        return merge_graphs(graphs, self.plan.constraint_names)
-
-    def checkpoint(self) -> None:
-        """Checkpoint every worker's shard at its committed cut."""
-        for index in sorted(self._handles):
-            self._request(self._handles[index], "checkpoint")
-
-    # ------------------------------------------------------------- handoff
-
-    def handoff(
-        self,
-        topic: str,
-        to: int,
-        on_step: Optional[Callable[[str], None]] = None,
-    ) -> HandoffReport:
-        """Move ``topic``'s ownership between live worker processes.
-
-        The five-step protocol of
-        :meth:`~repro.conflicts.shard.ShardCoordinator.handoff`, driven
-        over the control channel; step 2 (``granted``) persists the new
-        assignment to ``shards.json`` -- the commit point.  A crash at
-        any step converges after :meth:`supervise`: the packets pin the
-        suffix, the registrations carry each worker's durable half, and
-        respawned workers reconcile against the persisted plan.
-
-        Raises:
-            ExecutorError: unknown topic / worker index, or a worker
-                died mid-protocol (supervise and re-check; the handoff
-                itself needs no retry once ``granted`` was reached).
-        """
-        step = on_step if on_step is not None else (lambda name: None)
-        name = str(topic).lower()
-        if name not in self.plan.topic_owner:
-            raise ExecutorError(f"unknown topic {name!r}")
-        if not 0 <= to < self.workers:
-            raise ExecutorError(
-                f"worker {to} out of range ({self.workers} workers)"
-            )
-        old_plan = self.plan
-        if old_plan.topic_owner[name] == to:
-            return HandoffReport(plan=old_plan, reshapes={})
-        assignment = dict(self._assignment)
-        assignment[name] = to
-        new_plan = plan_assignment(
-            self.constraints, self.workers, assignment=assignment
-        )
-        old_subs = [
-            frozenset(spec.subscribed) for spec in old_plan.shards
-        ]
-        new_subs = [
-            frozenset(spec.subscribed) for spec in new_plan.shards
-        ]
-        needed: set[str] = set()
-        for index in range(self.workers):
-            needed |= new_subs[index] - old_subs[index]
-        needed.discard(SCHEMA_TOPIC)
-        # 1) Release: the current owners export packets at their cuts.
-        for moved in sorted(needed):
-            exporter = old_plan.topic_owner.get(moved)
-            if exporter is not None and moved in old_subs[exporter]:
-                self._request(
-                    self._handles[exporter], "export", topic=moved
-                )
-        step("released")
-        # 2) Grant: persist the new assignment -- the commit point.
-        self._assignment = assignment
-        self.epoch += 1
-        self._store_ownership()
-        self.plan = new_plan
-        step("granted")
-        # 3) Adopt before 4) prune, so retention floors never gap.
-        reshapes: Dict[int, ShardReshape] = {}
-        adopters = [
-            index
-            for index in range(self.workers)
-            if new_subs[index] - old_subs[index]
-        ]
-        for index in adopters:
-            value = self._request(
-                self._handles[index],
-                "reshape",
-                spec=new_plan.shards[index],
-                plan=new_plan,
-            )
-            assert isinstance(value, ShardReshape)
-            reshapes[index] = value
-        step("adopted")
-        for index in range(self.workers):
-            if index not in adopters and (
-                new_subs[index] != old_subs[index]
-                or new_plan.shards[index] != old_plan.shards[index]
-            ):
-                value = self._request(
-                    self._handles[index],
-                    "reshape",
-                    spec=new_plan.shards[index],
-                    plan=new_plan,
-                )
-                assert isinstance(value, ShardReshape)
-                reshapes[index] = value
-        step("pruned")
-        # 5) The adopters checkpointed past their cuts; the packets are
-        #    spent.
-        for moved in sorted(needed):
-            self.feed.clear_transfer(moved)
-        step("cleared")
-        return HandoffReport(plan=new_plan, reshapes=reshapes)
-
-    def rebalance(
-        self,
-        threshold: int = 0,
-        on_step: Optional[Callable[[str], None]] = None,
-    ) -> Optional[RebalanceMove]:
-        """Trigger at most one live handoff when per-worker load skew
-        (owned-topic lag plus hypergraph edge counts, from live status)
-        exceeds ``threshold``.  Returns the move made, or None when
-        balanced (see :func:`~repro.conflicts.shard.choose_move`)."""
-        statuses = {row.index: row for row in self.status()}
-        self.feed.refresh()
-        ends = self.feed.end_offsets()
-        committed = [
-            statuses[index].committed if index in statuses else {}
-            for index in range(self.workers)
-        ]
-        edges = [
-            statuses[index].edges if index in statuses else 0
-            for index in range(self.workers)
-        ]
-        move = choose_move(
-            self.plan, committed, ends, threshold=threshold, edges=edges
-        )
-        if move is None:
-            return None
-        self.handoff(move.topic, move.target, on_step=on_step)
-        return move
-
-    def sweep_transfers(self) -> list[str]:
-        """Clear transfer packets whose adopting owner already
-        checkpointed at or past the handoff cut -- the leftovers of a
-        handoff that crashed between ``adopted`` and ``cleared``.
-        Packets still covering an un-adopted topic stay."""
-        cleared: list[str] = []
-        points = self.feed.recovery_points()
-        for name, cut in sorted(self.feed.transfers().items()):
-            owner = self._assignment.get(name)
-            if owner is None:
-                continue
-            point = points.get(f"{self.group_prefix}-{owner}")
-            if (
-                point is not None
-                and point.snapshot is not None
-                and point.snapshot.get(name, -1) >= cut
-            ):
-                self.feed.clear_transfer(name)
-                cleared.append(name)
-        return cleared
+    def close(self) -> None:
+        """Stop every worker (each checkpoints and detaches; one that
+        refuses within the request timeout is killed), then close the
+        executor's own feed."""
+        super().close()
+        self.feed.close()
 
     # ---------------------------------------------------------- supervisor
 
@@ -968,40 +626,25 @@ class ProcessShardExecutor:
         kill switch).  The worker's group registration survives, so it
         shows up lagging in :meth:`status` until :meth:`supervise`
         respawns it."""
-        handle = self._handles[index]
-        handle.process.kill()
-        handle.process.join(5)
+        self.workers[index].kill()
 
     def supervise(self) -> list[WorkerEvent]:
-        """One supervision pass: drain heartbeats, SIGKILL hung workers
-        (no heartbeat within the timeout), respawn dead ones from their
-        last shard checkpoint, and reconcile survivors whose
-        subscriptions drifted from the plan (a handoff that died
+        """One supervision pass: drain heartbeats, then :meth:`restart`
+        workers that died or went silent (a hung one is SIGKILLed
+        first) from their last shard checkpoint, and reconcile survivors
+        whose subscriptions drifted from the plan (a handoff that died
         mid-protocol).  Returns the actions taken."""
         events: list[WorkerEvent] = []
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            usable = self._drain_messages(handle)
-            alive = usable and handle.process.is_alive()
-            age = time.monotonic() - handle.last_beat
-            if alive and age <= self.heartbeat_timeout:
+        for index in range(len(self.workers)):
+            reason = self._link(index).failure()
+            if reason is None:
                 continue
-            if alive:
-                handle.process.kill()
-                handle.process.join(5)
-                reason = "heartbeat-timeout"
-            else:
-                reason = f"exit:{handle.process.exitcode}"
-            handle.conn.close()
-            replacement = self._spawn(
-                index, chaos_armed=False, checkpoint_on_attach=True
-            )
-            replacement.respawns += 1
+            self.restart(index)
             events.append(
                 WorkerEvent(
                     index=index,
                     reason=reason,
-                    respawns=replacement.respawns,
+                    respawns=self._link(index).respawns,
                 )
             )
         if events:
@@ -1014,20 +657,30 @@ class ProcessShardExecutor:
         plan (the survivors of a handoff that died mid-protocol).
         Returns the reshaped worker indexes."""
         reshaped: list[int] = []
-        for index in sorted(self._handles):
-            handle = self._handles[index]
+        for index, row in enumerate(self.status()):
             spec = self.plan.shards[index]
-            try:
-                payload = self._request(handle, "status")
-            except ExecutorError:
-                continue  # dead; the next supervise pass respawns it
-            assert isinstance(payload, dict)
-            target = sorted(
-                {str(t).lower() for t in spec.subscribed} | {SCHEMA_TOPIC}
-            )
-            if list(payload.get("subscribed", [])) != target:
-                self._request(
-                    handle, "reshape", spec=spec, plan=self.plan
-                )
+            if row.alive and set(row.subscribed) != set(spec.subscribed):
+                self.workers[index].reshape(spec, self.plan)
                 reshaped.append(index)
         return reshaped
+
+    def sweep_transfers(self) -> list[str]:
+        """Clear transfer packets whose adopting owner already
+        checkpointed at or past the handoff cut -- the leftovers of a
+        handoff that crashed between ``adopted`` and ``cleared``.
+        Packets still covering an un-adopted topic stay."""
+        cleared: list[str] = []
+        points = self.feed.recovery_points()
+        for name, cut in sorted(self.feed.transfers().items()):
+            owner = self.plan.topic_owner.get(name)
+            if owner is None:
+                continue
+            point = points.get(f"{self.group_prefix}-{owner}")
+            if (
+                point is not None
+                and point.snapshot is not None
+                and point.snapshot.get(name, -1) >= cut
+            ):
+                self.feed.clear_transfer(name)
+                cleared.append(name)
+        return cleared

@@ -33,17 +33,23 @@ body mentions.  So:
   exactly the way the writer checkpoints the whole database -- its
   retention floor pins only its subscribed topics.
 
-* :func:`merge_graphs` / :class:`MergedHypergraph` union the shard
-  graphs back into one view: duplicate edges (the same violation
-  derived by constraints on two workers) are deduplicated by edge key
-  with the label resolved by global constraint order, and subsumption
-  is re-checked -- only across shard boundaries, since each shard
-  graph is already minimal among its own edges.
+* :func:`merge_graphs` unions the shard graphs back into one view:
+  duplicate edges (the same violation derived by constraints on two
+  workers) are deduplicated by edge key with the label resolved by
+  global constraint order, and subsumption is re-checked -- only
+  across shard boundaries, since each shard graph is already minimal
+  among its own edges.
 
-* :class:`ShardCoordinator` owns the plan and the workers, drains them,
-  assembles a full database from the workers' owned slices, and hands
-  :class:`~repro.core.hippo.HippoEngine` a merged view so consistent
-  query answering runs off the shards transparently.
+* :class:`ShardCoordinator` is the one shard state machine: it owns
+  the plan, drains and checkpoints the workers, drives the five-step
+  topic handoff and the rebalance trigger, reports dead workers as
+  lagging, assembles a full database from the workers' owned slices,
+  and hands :class:`~repro.core.hippo.HippoEngine` the merged view so
+  consistent query answering runs off the shards transparently.  It
+  reaches each worker through a :class:`WorkerLink`: a
+  :class:`ShardWorker` is its own in-process (loopback) link, and
+  :mod:`repro.conflicts.executor` supplies the link to a worker in its
+  own OS process.
 
 The maintained invariant -- pinned by
 ``tests/property/test_shard_equivalence.py`` -- is that at every
@@ -55,7 +61,7 @@ cross-shard edge produced exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -63,6 +69,7 @@ from typing import (
     Iterable,
     Mapping,
     Optional,
+    Protocol,
     Sequence,
 )
 
@@ -76,7 +83,7 @@ from repro.constraints.foreign_key import (
 from repro.engine.database import Database
 from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
 from repro.engine.snapshot import restore_database, snapshot_database
-from repro.errors import CatalogError, ConstraintError, FeedError
+from repro.errors import CatalogError, ConstraintError, ExecutorError, FeedError
 
 if TYPE_CHECKING:
     from repro.core.hippo import HippoEngine
@@ -206,10 +213,14 @@ class ShardReshape:
 class ShardStatus:
     """One worker's row in :meth:`ShardCoordinator.status`.
 
-    A worker whose consumer is closed or abandoned (it died somewhere
-    in the apply/commit/checkpoint pipeline) is reported with
-    ``alive=False`` and its lag computed from the group's *registered*
-    offsets -- lagging, never silently absent."""
+    A dead worker -- in-process, its consumer abandoned or closed; as a
+    process, exited or unresponsive -- is reported with ``alive=False``
+    and its lag and committed offsets taken from the group's
+    *registered* state: lagging, never silently absent.  Its other
+    fields are the last values the worker reported.  ``pid`` and
+    ``exitcode`` are None for in-process workers, and ``respawns``
+    counts the supervisor's respawns of a process worker.
+    """
 
     index: int
     group: str
@@ -218,7 +229,23 @@ class ShardStatus:
     lag: int
     edges: int
     owned: tuple[str, ...]
+    subscribed: tuple[str, ...]
     committed: dict[str, int]
+    restore_mode: str
+    applied_records: dict[str, int]
+    respawns: int = 0
+    pid: Optional[int] = None
+    exitcode: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class HandoffReport:
+    """What one :meth:`ShardCoordinator.handoff` did: the new plan plus
+    each reshaped worker's :class:`ShardReshape` (the adopting entries
+    carry the resume cuts that show no full re-bootstrap happened)."""
+
+    plan: ShardPlan
+    reshapes: Dict[int, ShardReshape]
 
 
 @dataclass(frozen=True)
@@ -249,8 +276,8 @@ def choose_move(
     owned topics; the move minimizing the resulting skew wins (ties
     break on topic name), and None is returned when the skew is within
     threshold or no single move strictly improves it.  Pure and
-    deterministic, so the in-process coordinator, the process executor
-    and the CLI's dry-run advisor all agree on the same move.
+    deterministic, so the coordinator's rebalance trigger (over either
+    worker link) and the CLI's dry-run advisor agree on the same move.
     """
     workers = len(plan.shards)
     if workers < 2:
@@ -455,40 +482,46 @@ def merge_graphs(
     return merged
 
 
-class MergedHypergraph:
-    """A live union view over a set of shard workers' graphs.
+class WorkerLink(Protocol):
+    """How :class:`ShardCoordinator` reaches one shard worker.
 
-    Recomputed from the current shard graphs on every access, so worker
-    syncs, retractions and cross-boundary resurrections are always
-    reflected; workers whose detection is still deferred (constraint
-    tables not replicated yet) contribute nothing.
+    There are two links.  A :class:`ShardWorker` is its own *loopback*
+    link: every op is a direct call in this process.
+    :class:`~repro.conflicts.executor.ProcessLink` sends the same ops as
+    control messages to a worker in its own OS process, so each op there
+    may also raise :class:`~repro.errors.ExecutorError` when the worker
+    died or hung.
     """
 
-    def __init__(
-        self,
-        workers: Sequence["ShardWorker"],
-        constraint_names: Sequence[str] = (),
-    ) -> None:
-        self.workers = workers
-        self.constraint_names = tuple(constraint_names)
+    def status(self) -> ShardStatus:
+        """The worker's status row (see :class:`ShardStatus`); a dead
+        worker answers with ``alive=False`` instead of raising."""
 
-    @property
-    def graph(self) -> ConflictHypergraph:
-        """The merged graph, rebuilt from the shard graphs *now*.
+    def sync(self, limit: Optional[int] = None) -> ReplicaSync:
+        """One bounded sync (see :meth:`ReplicaHypergraph.sync`)."""
 
-        Never cached: each access re-merges, so it is always consistent
-        with the workers' latest synced cuts (callers wanting a stable
-        view across several reads should bind the property once).
-        """
-        return merge_graphs(
-            (worker.graph for worker in self.workers if worker.ready),
-            self.constraint_names,
-        )
+    def drain(self) -> int:
+        """Sync until the lag is zero; returns the records consumed."""
 
-    def as_dict(self) -> dict[frozenset[Vertex], str]:
-        """Edge -> constraint-name mapping of the merged graph (built
-        fresh per call, like :attr:`graph`)."""
-        return self.graph.as_dict()
+    def checkpoint(self) -> None:
+        """Checkpoint the shard at its committed cut."""
+
+    def export_topic(self, topic: str) -> int:
+        """Store a transfer packet for ``topic`` at the committed cut
+        (see :meth:`ShardWorker.export_topic`); returns the cut."""
+
+    def reshape(self, spec: ShardSpec, plan: ShardPlan) -> ShardReshape:
+        """Move to a new plan slice (see :meth:`ShardWorker.reshape`)."""
+
+    def shard_graph(self) -> Optional[ConflictHypergraph]:
+        """The shard's graph, or None while its detection is deferred."""
+
+    def close(self) -> None:
+        """Checkpoint (durable feeds) and detach; idempotent."""
+
+    def kill(self) -> None:
+        """Crash the worker: its group registration survives, so it
+        reports lagging until it is re-attached."""
 
 
 class ShardWorker(ReplicaHypergraph):
@@ -649,18 +682,70 @@ class ShardWorker(ReplicaHypergraph):
         table = self.db.table(topic)
         for tid in list(table.tids()):
             table.delete(tid)
+    # ------------------------------------------------------- loopback link
+
+    def status(self) -> ShardStatus:
+        """This worker's status row.  A crashed worker (consumer
+        abandoned or closed) reports ``alive=False``, no lag and no
+        offsets: :meth:`ShardCoordinator.status` reads both from the
+        group's registration instead."""
+        alive = not self._consumer.closed
+        return ShardStatus(
+            index=self.spec.index,
+            group=self.group,
+            alive=alive,
+            ready=self.ready,
+            lag=self.lag if alive else 0,
+            edges=len(self.graph.edges) if self.ready else 0,
+            owned=self.spec.owned,
+            subscribed=tuple(sorted(self.topics or ())),
+            committed=self.committed if alive else {},
+            restore_mode=self.restore_mode,
+            applied_records=dict(self.applied_records),
+        )
+
+    def drain(self) -> int:
+        """Sync until the lag is zero; returns the records consumed."""
+        total = 0
+        while self.lag:
+            total += self.sync().records
+        return total
+
+    def shard_graph(self) -> Optional[ConflictHypergraph]:
+        """This shard's graph, or None while detection is deferred
+        (constraint tables not replicated yet)."""
+        return self.graph if self.ready else None
+
+    def kill(self) -> None:
+        """Crash this worker in place.  On a durable feed the consumer
+        is *abandoned*, not closed: its group registration -- committed
+        offsets, subscription, retention floor -- survives exactly as if
+        the process had been killed.  (In-memory feeds have no
+        registration to resume from; there the consumer deregisters.)"""
+        if self.feed.durable:
+            self._consumer.abandon()
+        else:
+            self._consumer.close()
 
 
 class ShardCoordinator:
-    """Plans the assignment, runs the workers, merges the shards.
+    """Plans the assignment, drives the workers, merges the shards.
+
+    The one home of the shard state machine: plan seeding, the
+    five-step :meth:`handoff`, :meth:`rebalance`, :meth:`drain`,
+    :meth:`checkpoint`, dead-worker :meth:`status` and the merged
+    :attr:`graph`.  Each worker is reached through a
+    :class:`WorkerLink`.  Here every link is an in-process
+    :class:`ShardWorker` (the loopback);
+    :class:`~repro.conflicts.executor.ProcessShardExecutor` overrides
+    :meth:`_attach` to run each worker in its own OS process instead.
 
     Args:
         feed: the feed to shard over -- typically a *reader*
             :class:`~repro.engine.feed.ChangeFeed` instance on the
             writer's directory (the coordinator never closes it; the
             caller owns it).  All workers attach to this instance under
-            their own consumer groups, so they also run one-per-process
-            against separate reader instances unchanged.
+            their own consumer groups.
         constraints: the full constraint set (split across workers by
             the plan).
         workers: number of shard workers.
@@ -670,7 +755,8 @@ class ShardCoordinator:
         assignment: explicit relation -> worker pinning (see
             :func:`plan_assignment`).
         group_prefix: consumer groups are named ``{prefix}-{index}``.
-        snapshots / checkpoint_records: forwarded to every worker.
+        snapshots: whether workers checkpoint their shards (forwarded
+            to every :class:`ShardWorker`).
     """
 
     def __init__(
@@ -682,51 +768,65 @@ class ShardCoordinator:
         assignment: Optional[Dict[str, int]] = None,
         group_prefix: str = "shard",
         snapshots: bool = True,
-        checkpoint_records: Optional[int] = None,
     ) -> None:
         self.feed = feed
         self.constraints = list(constraints)
+        self.group_prefix = group_prefix
         self._snapshots = snapshots
-        self._checkpoint_records = checkpoint_records
+        self.workers: list[WorkerLink] = []
         feed.refresh()
-        discovered = [
-            t.name for t in feed.topics() if t.name != SCHEMA_TOPIC
-        ]
+        discovered = [t.name for t in feed.topics() if t.name != SCHEMA_TOPIC]
         self.plan = plan_assignment(
             self.constraints,
             workers,
             relations=[*discovered, *relations],
             assignment=assignment,
         )
-        self.workers: list[ShardWorker] = [
-            ShardWorker(
-                feed,
-                spec,
-                self.plan,
-                group=f"{group_prefix}-{spec.index}",
-                snapshots=snapshots,
-                checkpoint_records=checkpoint_records,
-            )
-            for spec in self.plan.shards
-        ]
-        self.merged = MergedHypergraph(self.workers, self.plan.constraint_names)
+        for spec in self.plan.shards:
+            self.workers.append(self._attach(spec.index))
+
+    def _attach(self, index: int, respawn: bool = False) -> WorkerLink:
+        """The link to worker ``index`` of the current plan: here an
+        in-process :class:`ShardWorker`, which resumes from its group's
+        durable state.  ``respawn`` marks a re-attach by
+        :meth:`restart`; the process executor acts on it."""
+        return ShardWorker(
+            self.feed,
+            self.plan.shards[index],
+            self.plan,
+            group=f"{self.group_prefix}-{index}",
+            snapshots=self._snapshots,
+        )
+
+    def __enter__(self) -> "ShardCoordinator":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------- running
 
     @property
     def lag(self) -> int:
-        """Feed records pending across all shards."""
-        return sum(worker.lag for worker in self.workers)
-
-    @property
-    def ready(self) -> bool:
-        """Whether every worker maintains a graph (none deferred)."""
-        return all(worker.ready for worker in self.workers)
+        """Feed records pending across all shards (dead ones included,
+        from their registrations)."""
+        return sum(row.lag for row in self.status())
 
     @property
     def graph(self) -> ConflictHypergraph:
-        """The merged shard view (see :class:`MergedHypergraph`)."""
-        return self.merged.graph
+        """The merged shard view (see :func:`merge_graphs`).
+
+        Never cached: each access re-merges the workers' current graphs,
+        so syncs, retractions and cross-boundary resurrections always
+        show (callers wanting a stable view across several reads should
+        bind the property once).  Workers whose detection is still
+        deferred contribute nothing.
+        """
+        graphs = [worker.shard_graph() for worker in self.workers]
+        return merge_graphs(
+            (graph for graph in graphs if graph is not None),
+            self.plan.constraint_names,
+        )
 
     def sync(self, limit: Optional[int] = None) -> list[ReplicaSync]:
         """One bounded sync per worker (round-robin fairness)."""
@@ -737,11 +837,7 @@ class ShardCoordinator:
         consumed.  After a drain the shards sit at an *aligned* cut --
         the precondition for comparing the merged view against a
         monolith (the writer must be quiescent and flushed)."""
-        total = 0
-        for worker in self.workers:
-            while worker.lag:
-                total += worker.sync().records
-        return total
+        return sum(worker.drain() for worker in self.workers)
 
     def checkpoint(self) -> None:
         """Checkpoint every worker's shard at its committed cut."""
@@ -751,72 +847,45 @@ class ShardCoordinator:
     def status(self) -> list[ShardStatus]:
         """Live per-worker status, dead workers included.
 
-        A worker whose consumer is closed or abandoned -- it died
-        somewhere between applying records, committing and
-        checkpointing -- must show up *lagging* (its group's registered
-        offsets against the feed end), never silently absent or
-        caught-up-at-zero: an operator reading this view decides what
-        to restart from it.
+        A dead worker -- it died somewhere between applying records,
+        committing and checkpointing -- must show up *lagging* (its
+        group's registered offsets against the feed end), never
+        silently absent or caught-up-at-zero: an operator reading this
+        view decides what to restart from it.
         """
+        rows = [worker.status() for worker in self.workers]
+        if all(row.alive for row in rows):
+            return rows
         self.feed.refresh()
         ends = self.feed.end_offsets()
         registered = self.feed.recovery_points()
-        rows: list[ShardStatus] = []
-        for worker in self.workers:
-            alive = not worker._consumer.closed
-            if alive:
-                lag = worker.lag
-                committed = worker._consumer.committed
-            else:
-                point = registered.get(worker.group)
-                committed = dict(point.committed) if point else {}
-                topics = point.topics if point else worker.topics
-                lag = sum(
-                    max(end - committed.get(name, 0), 0)
-                    for name, end in ends.items()
-                    if topics is None or name in topics
-                )
-            rows.append(
-                ShardStatus(
-                    index=worker.spec.index,
-                    group=worker.group,
-                    alive=alive,
-                    ready=worker.ready,
-                    lag=lag,
-                    edges=len(worker.graph.edges) if worker.ready else 0,
-                    owned=worker.spec.owned,
-                    committed=committed,
-                )
+        for index, row in enumerate(rows):
+            if row.alive:
+                continue
+            point = registered.get(row.group)
+            committed = dict(point.committed) if point else {}
+            spec = self.plan.shards[index]
+            topics = point.topics if point else frozenset(spec.subscribed)
+            lag = sum(
+                max(end - committed.get(name, 0), 0)
+                for name, end in ends.items()
+                if topics is None or name in topics
             )
+            rows[index] = replace(row, lag=lag, committed=committed)
         return rows
 
-    def restart(self, index: int) -> ShardWorker:
+    def restart(self, index: int) -> WorkerLink:
         """Kill one worker and re-attach it from its durable state.
 
-        The old worker's consumer is *abandoned*, not closed: its group
-        registration -- committed offsets, subscription, retention
-        floor -- survives exactly as if the process had been killed, so
-        if the re-attach itself fails the group still shows up lagging
-        in :meth:`status` and the ``.feed`` view instead of vanishing.
-        (In-memory feeds have no registration to resume from; there the
-        old consumer deregisters and the fresh worker replays from the
-        beginning, as before.)  The fresh worker bootstraps from the
+        The kill leaves the group registration in place (see
+        :meth:`WorkerLink.kill`), so if the re-attach itself fails the
+        group still shows up lagging in :meth:`status` and the ``.feed``
+        view instead of vanishing.  The fresh worker bootstraps from the
         group's snapshot / committed cut and resumes.  Returns the
         replacement.
         """
-        old = self.workers[index]
-        if self.feed.durable:
-            old._consumer.abandon()
-        else:
-            old._consumer.close()
-        self.workers[index] = ShardWorker(
-            self.feed,
-            self.plan.shards[index],
-            self.plan,
-            group=old.group,
-            snapshots=self._snapshots,
-            checkpoint_records=self._checkpoint_records,
-        )
+        self.workers[index].kill()
+        self.workers[index] = self._attach(index, respawn=True)
         return self.workers[index]
 
     # ------------------------------------------------------------- handoff
@@ -826,7 +895,7 @@ class ShardCoordinator:
         topic: str,
         to: int,
         on_step: Optional[Callable[[str], None]] = None,
-    ) -> ShardPlan:
+    ) -> HandoffReport:
         """Move ``topic``'s ownership to worker ``to``, live.
 
         The five-step protocol (each step leaves a recoverable state;
@@ -836,7 +905,8 @@ class ShardCoordinator:
         1. ``released`` -- the owning worker checkpoints the topic into
            a transfer packet at its committed cut (it keeps serving).
         2. ``granted``  -- the coordinator commits the new ownership
-           (here: the plan swap; the process executor persists it).
+           (:meth:`_grant`: the plan swap; the process executor also
+           persists it).
         3. ``adopted``  -- workers gaining topics resubscribe: restore
            the packet at the cut, pin their floors, re-detect,
            checkpoint.
@@ -847,7 +917,9 @@ class ShardCoordinator:
         Constraints follow their anchor relations: the new plan is
         recomputed with the full ownership map pinned, so cross-shard
         flags, foreign subscriptions and each worker's constraint slice
-        all move consistently.  Returns the new plan.
+        all move consistently.  Adopting before pruning means an
+        adopter's registration pins its new topics at their cuts before
+        any releaser lets go, so the retention floor never gaps.
 
         Raises:
             ConstraintError: for an unknown topic or worker index.
@@ -860,15 +932,63 @@ class ShardCoordinator:
                 f"worker {to} out of range (plan has"
                 f" {len(self.workers)} workers)"
             )
-        if self.plan.topic_owner[name] == to:
-            return self.plan
-        assignment = dict(self.plan.topic_owner)
+        old_plan = self.plan
+        if old_plan.topic_owner[name] == to:
+            return HandoffReport(plan=old_plan, reshapes={})
+        assignment = dict(old_plan.topic_owner)
         assignment[name] = to
         new_plan = plan_assignment(
             self.constraints, len(self.workers), assignment=assignment
         )
-        self._transition(new_plan, on_step or (lambda step: None))
-        return self.plan
+        step = on_step or (lambda step_name: None)
+        old_subs = [frozenset(spec.subscribed) for spec in old_plan.shards]
+        new_subs = [frozenset(spec.subscribed) for spec in new_plan.shards]
+        adopters = [
+            index
+            for index, (old, new) in enumerate(zip(old_subs, new_subs))
+            if new - old
+        ]
+        pruners = [
+            index
+            for index, (old, new) in enumerate(zip(old_plan.shards, new_plan.shards))
+            if index not in adopters and old != new
+        ]
+        needed: set[str] = set()
+        for index in adopters:
+            needed |= new_subs[index] - old_subs[index]
+        needed.discard(SCHEMA_TOPIC)
+        # 1) Release: every topic someone must acquire gets a transfer
+        #    packet from the worker currently serving it as owner.
+        for moved in sorted(needed):
+            exporter = old_plan.topic_owner.get(moved)
+            if exporter is not None and moved in old_subs[exporter]:
+                self.workers[exporter].export_topic(moved)
+        step("released")
+        # 2) Grant, then 3) adopt before 4) prune.
+        self._grant(new_plan)
+        step("granted")
+        reshapes: Dict[int, ShardReshape] = {}
+        for index in adopters:
+            reshapes[index] = self.workers[index].reshape(
+                new_plan.shards[index], new_plan
+            )
+        step("adopted")
+        for index in pruners:
+            reshapes[index] = self.workers[index].reshape(
+                new_plan.shards[index], new_plan
+            )
+        step("pruned")
+        # 5) The adopters checkpointed past their cuts; the packets no
+        #    longer pin anything anyone needs.
+        for moved in sorted(needed):
+            self.feed.clear_transfer(moved)
+        step("cleared")
+        return HandoffReport(plan=new_plan, reshapes=reshapes)
+
+    def _grant(self, plan: ShardPlan) -> None:
+        """Step 2 of :meth:`handoff`, the commit point.  In-process the
+        plan swap is the whole commit."""
+        self.plan = plan
 
     def rebalance(
         self,
@@ -877,75 +997,21 @@ class ShardCoordinator:
     ) -> Optional[RebalanceMove]:
         """Trigger at most one ownership move when per-worker load skew
         (pending records over owned topics, plus hypergraph edge
-        counts) exceeds ``threshold``.  Returns the move made, or None
-        when the shards are balanced (see :func:`choose_move`)."""
+        counts, from live :meth:`status`) exceeds ``threshold``.
+        Returns the move made, or None when the shards are balanced
+        (see :func:`choose_move`)."""
+        rows = self.status()
         self.feed.refresh()
-        ends = self.feed.end_offsets()
-        committed = [worker._consumer.committed for worker in self.workers]
-        edges = [
-            len(worker.graph.edges) if worker.ready else 0
-            for worker in self.workers
-        ]
         move = choose_move(
-            self.plan, committed, ends, threshold=threshold, edges=edges
+            self.plan,
+            [row.committed for row in rows],
+            self.feed.end_offsets(),
+            threshold=threshold,
+            edges=[row.edges for row in rows],
         )
-        if move is None:
-            return None
-        self.handoff(move.topic, move.target, on_step=on_step)
+        if move is not None:
+            self.handoff(move.topic, move.target, on_step=on_step)
         return move
-
-    def _transition(
-        self, new_plan: ShardPlan, on_step: Callable[[str], None]
-    ) -> None:
-        """Drive every worker from the current plan to ``new_plan``
-        through the handoff protocol (see :meth:`handoff`)."""
-        old_plan = self.plan
-        count = len(self.workers)
-        old_subs = [
-            frozenset(worker.topics or ()) for worker in self.workers
-        ]
-        new_subs = [
-            frozenset(
-                {str(t).lower() for t in spec.subscribed} | {SCHEMA_TOPIC}
-            )
-            for spec in new_plan.shards
-        ]
-        needed: set[str] = set()
-        for index in range(count):
-            needed |= new_subs[index] - old_subs[index]
-        needed.discard(SCHEMA_TOPIC)
-        # 1) Release: every topic someone must acquire gets a transfer
-        #    packet from the worker currently serving it as owner.
-        for name in sorted(needed):
-            exporter = old_plan.topic_owner.get(name)
-            if exporter is not None and name in old_subs[exporter]:
-                self.workers[exporter].export_topic(name)
-        on_step("released")
-        # 2) Grant: the plan swap is the in-process ownership commit.
-        self.plan = new_plan
-        on_step("granted")
-        # 3) Adopt before 4) prune: an adopter's registration pins its
-        #    new topics at their cuts before any releaser lets go, so
-        #    the retention floor never gaps (the packets cover the
-        #    window in between anyway).
-        adopters = [
-            index for index in range(count) if new_subs[index] - old_subs[index]
-        ]
-        for index in adopters:
-            self.workers[index].reshape(new_plan.shards[index], new_plan)
-        on_step("adopted")
-        for index in range(count):
-            if index not in adopters and (
-                new_subs[index] != old_subs[index]
-                or new_plan.shards[index] != old_plan.shards[index]
-            ):
-                self.workers[index].reshape(new_plan.shards[index], new_plan)
-        on_step("pruned")
-        # 5) The adopters checkpointed past their cuts; the packets no
-        #    longer pin anything anyone needs.
-        for name in sorted(needed):
-            self.feed.clear_transfer(name)
-        on_step("cleared")
 
     # ------------------------------------------------------------ querying
 
@@ -957,9 +1023,17 @@ class ShardCoordinator:
         owned slice into one target -- schemas merged, rows disjoint,
         tids preserved -- reproduces the primary at the aligned cut.
         Call after :meth:`drain`.
+
+        Raises:
+            ExecutorError: when the workers run in other processes (their
+                databases are not reachable from here).
         """
         db = Database()
         for worker in self.workers:
+            if not isinstance(worker, ShardWorker):
+                raise ExecutorError(
+                    "only in-process shard workers can assemble a database"
+                )
             restore_database(
                 db,
                 snapshot_database(worker.db, tables=worker.spec.owned),

@@ -207,16 +207,6 @@ class HippoEngine:
         """The conflict hypergraph built by Conflict Detection."""
         return self.detection.hypergraph
 
-    @property
-    def feed_lag(self) -> int:
-        """Change-feed records past the engine's committed cut.
-
-        Re-scans the directory on durable reader feeds (live tailing),
-        so it reflects appends made by other processes; 0 for a
-        detached engine.
-        """
-        return self._consumer.lag if self._consumer is not None else 0
-
     def _full_detection(self) -> DetectionReport:
         """Complete re-detection, re-seeding the incremental maintainer."""
         if self._consumer is None:

@@ -107,12 +107,11 @@ class ResourceLeakRule(Rule):
 class LockStateRule(Rule):
     """HL014: manifest mutations see the lock *held*, not just nearby.
 
-    HL001 checks that guarded calls are lexically inside ``with
-    self._manifest_lock():``; this rule runs a must-held analysis over
-    the CFG instead, so a lock context laundered through a variable
-    still counts, and a path that reaches the mutation with the lock
-    released (early return, conditional acquisition, exception edge
-    past the ``with``) is caught.
+    A must-held analysis over the CFG, not a lexical check for an
+    enclosing ``with self._manifest_lock():``: a lock context laundered
+    through a variable still counts, and a path that reaches the
+    mutation with the lock released (early return, conditional
+    acquisition, exception edge past the ``with``) is caught.
     """
 
     id = "HL014"

@@ -1,7 +1,7 @@
 """The hippolint rule framework: registry, module model, file driver.
 
 A :class:`Rule` inspects one parsed module and yields findings.  Rules are
-registered by id (``HL001`` ...) in a module-level registry; the driver
+registered by id (``HL002`` ...) in a module-level registry; the driver
 parses each file once, asks every applicable rule for findings, and drops
 those covered by suppression comments.
 

@@ -505,7 +505,7 @@ class LockDomain(Domain):
     ``depth`` counts definitely-held acquisitions along *every* path
     into a point (join takes the minimum).  A lock context laundered
     through a variable (``lock = self._manifest_lock()`` ...
-    ``with lock:``) still counts, which the lexical HL001 cannot see.
+    ``with lock:``) still counts, which a lexical check cannot see.
     """
 
     def __init__(self, lock_call: str = "_manifest_lock") -> None:

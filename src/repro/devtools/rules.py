@@ -78,66 +78,6 @@ def _calls_named(nodes: Iterator[ast.AST], *names: str) -> list[ast.Call]:
 
 
 @register
-class ManifestLockRule(Rule):
-    """HL001: manifest state in ``engine/feed.py`` mutates under the flock.
-
-    PR 4's crash tests found torn manifests when retention merged segment
-    lists outside the lock; every call that folds or rewrites manifest
-    state must be lexically inside ``with self._manifest_lock():``.
-    """
-
-    id = "HL001"
-    name = "manifest-lock"
-    summary = (
-        "manifest-state helpers in engine/feed.py must run inside"
-        " `with self._manifest_lock():`"
-    )
-    rationale = (
-        "PR 4 writer-side checkpoints; dynamic twin:"
-        " tests/engine/test_feed.py crash-recovery and multi-writer tests"
-    )
-
-    GUARDED = ("_merge_disk_retention", "_sweep_orphans")
-
-    def applies_to(self, module: SourceModule) -> bool:
-        return module.is_module("engine/feed.py")
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        yield from self._visit(module.tree, lock_depth=0)
-
-    def _visit(self, node: ast.AST, lock_depth: int) -> Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            lock_depth = 0  # the body runs later, outside this lock scope
-        if isinstance(node, ast.With):
-            if any(
-                isinstance(item.context_expr, ast.Call)
-                and _terminal(item.context_expr.func) == "_manifest_lock"
-                for item in node.items
-            ):
-                lock_depth += 1
-        if isinstance(node, ast.Call) and lock_depth == 0:
-            target = _terminal(node.func)
-            if target in self.GUARDED:
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"{target}() mutates manifest/segment state and must be"
-                    " called inside `with self._manifest_lock():`",
-                )
-            elif target == "_atomic_json" and any(
-                "MANIFEST" in ast.unparse(arg) for arg in node.args
-            ):
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    "manifest writes via _atomic_json must happen inside"
-                    " `with self._manifest_lock():`",
-                )
-        for child in ast.iter_child_nodes(node):
-            yield from self._visit(child, lock_depth)
-
-
-@register
 class FsyncBeforeRenameRule(Rule):
     """HL002: durability barrier before the rename that publishes a file.
 

@@ -88,15 +88,6 @@ class Scope:
             depth += 1
         raise PlanError(f"unknown column: {ast.ColumnRef(table, name)}")
 
-    def columns_of(self, table: str) -> list[int]:
-        """Slot indexes of all columns bound under ``table`` (this scope only)."""
-        table_key = table.lower()
-        return [
-            index
-            for index, (binding, _column) in enumerate(self.entries)
-            if binding == table_key
-        ]
-
     def width(self) -> int:
         """Number of slots in this scope."""
         return len(self.entries)

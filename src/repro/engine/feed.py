@@ -955,7 +955,7 @@ class ChangeFeed:
                 # rebuild-from-scratch fallback.  Lock-free by design:
                 # this path only *reads* the foreign manifest and raises
                 # our in-memory base; it never writes MANIFEST.
-                # hippolint: disable-next-line=HL001,HL014 -- read-only fold
+                # hippolint: disable-next-line=HL014 -- read-only fold
                 self._merge_disk_retention()
                 raise FeedRetentionError(
                     f"topic {topic.name!r}: sealed segment {name} is"

@@ -8,7 +8,7 @@ alongside wall-clock time, the way the demonstration compares approaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -48,28 +48,10 @@ class ExecutionStats:
 
     def reset(self) -> None:
         """Zero all counters."""
-        self.rows_scanned = 0
-        self.point_lookups = 0
-        self.statements = 0
-        self.subquery_evaluations = 0
-        self.subquery_cache_hits = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_invalidations = 0
-        self.backend_pushdowns = 0
-        self.backend_fallbacks = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
     def snapshot(self) -> dict[str, int]:
-        """Copy the counters into a plain dict (for reports)."""
-        return {
-            "rows_scanned": self.rows_scanned,
-            "point_lookups": self.point_lookups,
-            "statements": self.statements,
-            "subquery_evaluations": self.subquery_evaluations,
-            "subquery_cache_hits": self.subquery_cache_hits,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_invalidations": self.plan_cache_invalidations,
-            "backend_pushdowns": self.backend_pushdowns,
-            "backend_fallbacks": self.backend_fallbacks,
-        }
+        """Copy the counters into a plain dict (for reports), in
+        declaration order."""
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}

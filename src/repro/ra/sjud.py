@@ -85,18 +85,6 @@ class SJUDCore:
     def output_names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self.outputs)
 
-    def alias_of(self, name: str) -> Atom:
-        """The atom bound under ``name``.
-
-        Raises:
-            AlgebraError: when no atom has that alias.
-        """
-        lowered = name.lower()
-        for atom in self.atoms:
-            if atom.alias.lower() == lowered:
-                return atom
-        raise AlgebraError(f"no atom with alias {name!r}")
-
 
 @dataclass(frozen=True)
 class Union_:

@@ -81,13 +81,15 @@ def monolith_edges(db: Database) -> dict:
 
 def settle(ex: ProcessShardExecutor, rounds: int = 10) -> list:
     """Supervise-and-drain until the executor reaches an aligned cut
-    (bounded; chaos-killed workers need a respawn before draining)."""
+    (bounded; chaos-killed workers need a respawn before draining).
+    Returns the workers' statuses at the cut."""
     for _ in range(rounds):
         ex.supervise()
         try:
-            return ex.drain()
+            ex.drain()
         except ExecutorError:
             continue
+        return ex.status()
     raise AssertionError("executor failed to settle after chaos")
 
 
@@ -127,19 +129,15 @@ def make_executor(
 ) -> Iterator[Callable[..., ProcessShardExecutor]]:
     """Factory for executors over the writer's feed directory.
 
-    Defaults to the fork context (chaos schedules respawn constantly;
-    spawn's interpreter start would dominate) and the skewed
-    assignment; keyword arguments override.  Every executor built is
-    closed at teardown even when the test failed mid-protocol.
+    Defaults to the skewed assignment; keyword arguments override.
+    Every executor built is closed at teardown even when the test
+    failed mid-protocol.
     """
     made: list[ProcessShardExecutor] = []
 
     def factory(**kwargs) -> ProcessShardExecutor:
         kwargs.setdefault("workers", 2)
         kwargs.setdefault("assignment", dict(SKEWED))
-        kwargs.setdefault("mp_context", "fork")
-        kwargs.setdefault("heartbeat_timeout", 10.0)
-        kwargs.setdefault("request_timeout", 30.0)
         ex = ProcessShardExecutor(
             tmp_path / "feed", constraint_set(), **kwargs
         )

@@ -37,9 +37,9 @@ class TestPipelineKills:
             ex.drain()
         events = ex.supervise()
         assert [e.index for e in events] == [0]
-        rows = ex.drain()
-        assert all(r.lag == 0 for r in rows)
-        assert ex.merged_graph().as_dict() == monolith()
+        ex.drain()
+        assert ex.lag == 0
+        assert ex.graph.as_dict() == monolith()
 
     def test_kill_mid_checkpoint_keeps_previous_checkpoint(
         self, writer, make_executor, kill_at, monolith, settle
@@ -59,7 +59,7 @@ class TestPipelineKills:
         # Respawned from the surviving (first) checkpoint, not replayed
         # from scratch.
         assert victim.restore_mode == "snapshot"
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
 
 
 class TestHandoffKills:
@@ -77,7 +77,7 @@ class TestHandoffKills:
         assert ownership is not None and ownership.owner["u"] == 0
         assert ownership.epoch == 0
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         # The respawned releaser retries the handoff successfully.
         report = ex.handoff("u", 1)
         assert load_ownership(ex.directory).owner["u"] == 1
@@ -87,7 +87,7 @@ class TestHandoffKills:
             for resume in reshape.added
         )
         ex.drain()
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         assert ex.feed.transfers() == {}
 
     def test_kill_adopter_after_ownership_commit(
@@ -113,7 +113,7 @@ class TestHandoffKills:
         rows = settle(ex)
         adopter = [r for r in rows if r.index == 1][0]
         assert "u" in adopter.committed
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         assert ex.feed.transfers() == {}  # swept once adoption stuck
 
     def test_kill_adopter_mid_adopt_after_resubscribe(
@@ -130,10 +130,10 @@ class TestHandoffKills:
             ex.handoff("u", 1)
         assert load_ownership(ex.directory).owner["u"] == 1
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         write_more(db, feed)
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         assert ex.feed.transfers() == {}
 
     def test_survivor_prune_completes_after_adopter_crash(

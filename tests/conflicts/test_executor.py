@@ -1,8 +1,8 @@
-"""Tests for the multi-process shard executor: ownership manifest,
-live handoff over real OS processes, dead-worker accounting, and
-supervisor respawn.  Uses the ``fork`` start method to keep worker
-startup cheap enough for tier 1; the chaos tier exercises ``spawn``
-paths and kill schedules."""
+"""Tests for the multi-process shard executor: the ownership manifest,
+live drain and handoff over real OS processes, and supervisor respawn.
+The coordinator protocol it shares with in-process workers (handoff,
+rebalance, dead-worker status) also runs over both links in
+``test_handoff.py``; the chaos tier covers kill schedules."""
 
 from __future__ import annotations
 
@@ -50,13 +50,7 @@ def make_executor(tmp_path):
     executors = []
 
     def factory(**overrides):
-        options = dict(
-            workers=2,
-            assignment=SKEWED,
-            mp_context="fork",
-            heartbeat_timeout=10.0,
-            request_timeout=30.0,
-        )
+        options = dict(workers=2, assignment=SKEWED)
         options.update(overrides)
         ex = ProcessShardExecutor(
             tmp_path / "feed", constraints(), **options
@@ -101,9 +95,10 @@ class TestOwnershipManifest:
         # A fresh executor with *different* ctor hints must follow the
         # persisted manifest: workers stays 2, u stays with worker 1.
         again = make_executor(workers=7, assignment=None)
-        assert again.workers == 2
+        assert len(again.workers) == 2
         assert again.plan.topic_owner["u"] == 1
-        assert load_ownership(again.directory).epoch == 1
+        ownership = load_ownership(again.directory)
+        assert ownership.epoch == 1 and ownership.owner["u"] == 1
 
 
 class TestLiveExecution:
@@ -112,7 +107,7 @@ class TestLiveExecution:
         ex = make_executor()
         ex.drain()
         expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert ex.merged_graph().as_dict() == expected
+        assert ex.graph.as_dict() == expected
         rows = ex.status()
         assert all(row.alive and row.lag == 0 for row in rows)
         assert {t for row in rows for t in row.owned} == set(TOPICS)
@@ -138,45 +133,13 @@ class TestLiveExecution:
         assert resume.end - resume.cut == 4  # only the retained suffix
         ex.drain()
         expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert ex.merged_graph().as_dict() == expected
+        assert ex.graph.as_dict() == expected
         assert ex.feed.transfers() == {}  # packet swept after adoption
         assert load_ownership(ex.directory).owner["u"] == 1
-
-    def test_handoff_validates_inputs(self, writer, make_executor):
-        ex = make_executor()
-        with pytest.raises(ExecutorError):
-            ex.handoff("nope", 1)
-        with pytest.raises(ExecutorError):
-            ex.handoff("u", 9)
-
-    def test_handoff_to_current_owner_is_a_no_op(
-        self, writer, make_executor
-    ):
-        ex = make_executor()
-        steps = []
-        report = ex.handoff("u", 0, on_step=steps.append)
-        assert steps == [] and report.reshapes == {}
 
 
 @pytest.mark.slow
 class TestFailureAccounting:
-    def test_dead_worker_reports_lagging_not_absent(
-        self, writer, make_executor
-    ):
-        feed, db = writer
-        ex = make_executor()
-        ex.drain()
-        ex.checkpoint()
-        ex.kill(1)
-        for i in range(5):
-            db.execute(f"INSERT INTO w VALUES ({i}, {70 + i})")
-        feed.flush()
-        rows = ex.status()
-        dead = [row for row in rows if not row.alive]
-        assert [row.index for row in dead] == [1]
-        assert dead[0].lag == 5  # from the registered offsets
-        assert dead[0].committed  # registration survives the kill
-
     def test_supervise_respawns_from_the_checkpoint(
         self, writer, make_executor
     ):
@@ -190,10 +153,10 @@ class TestFailureAccounting:
         ex.kill(1)
         events = ex.supervise()
         assert [e.index for e in events] == [1]
-        rows = ex.drain()
-        respawned = [row for row in rows if row.index == 1][0]
+        ex.drain()
+        respawned = ex.status()[1]
         assert respawned.alive and respawned.respawns == 1
         assert respawned.restore_mode == "snapshot"
         assert respawned.applied_records.get("w", 0) == 3
         expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert ex.merged_graph().as_dict() == expected
+        assert ex.graph.as_dict() == expected

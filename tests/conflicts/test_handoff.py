@@ -1,12 +1,19 @@
-"""Tests for in-process topic handoff: export/reshape, the coordinator
-protocol, the rebalance chooser, and dead-worker status accounting."""
+"""Tests for topic handoff: export/reshape, the coordinator protocol,
+the rebalance chooser, and dead-worker status accounting.
+
+The coordinator protocol and dead-worker tests run over both worker
+links: in-process (loopback) workers, and -- in the ``Process*``
+subclasses -- worker processes behind a
+:class:`~repro.conflicts.executor.ProcessShardExecutor`."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.conflicts import (
+    ProcessShardExecutor,
     ShardCoordinator,
+    ShardWorker,
     choose_move,
     detect_conflicts,
     plan_assignment,
@@ -41,13 +48,40 @@ def constraints():
     return [fd(name) for name in FOUR_TOPICS]
 
 
+SKEWED = {"r": 0, "s": 0, "u": 0, "w": 1}
+
+
 def skewed_coordinator(feed):
-    return ShardCoordinator(
-        feed,
-        constraints(),
-        workers=2,
-        assignment={"r": 0, "s": 0, "u": 0, "w": 1},
-    )
+    return ShardCoordinator(feed, constraints(), workers=2, assignment=dict(SKEWED))
+
+
+def expected_graph(db):
+    return detect_conflicts(db, constraints()).hypergraph.as_dict()
+
+
+@pytest.fixture
+def coordinate(request, tmp_path):
+    """Factory: a writer over ``tmp_path / "f"`` plus a skewed 2-worker
+    coordinator on it -- in-process workers, or worker processes when
+    the test class sets ``processes``.  Everything is closed at
+    teardown, even when the test failed mid-protocol."""
+    opened = []
+
+    def factory(**primary):
+        feed, db = build_primary(tmp_path / "f", **primary)
+        if getattr(request.cls, "processes", False):
+            coordinator = ProcessShardExecutor(
+                tmp_path / "f", constraints(), workers=2, assignment=SKEWED
+            )
+        else:
+            coordinator = skewed_coordinator(feed)
+        opened.append((coordinator, feed))
+        return coordinator, feed, db
+
+    yield factory
+    for coordinator, feed in opened:
+        coordinator.close()
+        feed.close()
 
 
 class TestChooseMove:
@@ -155,74 +189,76 @@ class TestWorkerExportReshape:
 
 
 class TestCoordinatorHandoff:
-    def test_five_step_protocol_preserves_equivalence(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
+    def test_five_step_protocol_preserves_equivalence(self, coordinate):
+        coordinator, feed, db = coordinate()
         coordinator.drain()
-        expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert coordinator.graph.as_dict() == expected
+        assert coordinator.graph.as_dict() == expected_graph(db)
+        rows = coordinator.status()
+        assert all(row.alive and row.lag == 0 for row in rows)
+        assert {t for row in rows for t in row.owned} == set(FOUR_TOPICS)
+        for i in range(4):  # a suffix the adopter must NOT re-bootstrap
+            db.execute(f"INSERT INTO u VALUES ({i}, {40 + i})")
+        feed.flush()
         steps = []
-        coordinator.handoff("u", 1, on_step=steps.append)
+        report = coordinator.handoff("u", 1, on_step=steps.append)
         assert steps == [
             "released", "granted", "adopted", "pruned", "cleared",
         ]
+        assert report.plan == coordinator.plan
         assert coordinator.plan.topic_owner["u"] == 1
+        (resume,) = [r for r in report.reshapes[1].added if r.topic == "u"]
+        assert resume.mode == "packet"
+        assert resume.end - resume.cut == 4  # only the retained suffix
         coordinator.drain()
-        assert coordinator.graph.as_dict() == expected
-        assert feed.transfers() == {}  # packets are spent
-        # The old owner's rows and floor are gone.
-        assert not dict(coordinator.workers[0].db.table("u").items())
-        points = feed.recovery_points()
+        assert coordinator.graph.as_dict() == expected_graph(db)
+        assert coordinator.feed.transfers() == {}  # packets are spent
+        # The old owner's subscription, rows and floor are gone.
+        assert "u" not in coordinator.status()[0].subscribed
+        old_owner = coordinator.workers[0]
+        if isinstance(old_owner, ShardWorker):  # rows visible in-process
+            assert not dict(old_owner.db.table("u").items())
+        points = coordinator.feed.recovery_points()
         assert "u" not in points["shard-0"].floor
         assert "u" in points["shard-1"].floor
-        coordinator.close()
-        feed.close()
 
-    def test_handoff_to_current_owner_is_a_no_op(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
+    def test_handoff_to_current_owner_is_a_no_op(self, coordinate):
+        coordinator, feed, db = coordinate()
         coordinator.drain()
         steps = []
-        coordinator.handoff("u", 0, on_step=steps.append)
-        assert steps == []
-        coordinator.close()
-        feed.close()
+        report = coordinator.handoff("u", 0, on_step=steps.append)
+        assert steps == [] and report.reshapes == {}
 
-    def test_handoff_validates_inputs(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
+    def test_handoff_validates_inputs(self, coordinate):
+        coordinator, feed, db = coordinate()
         coordinator.drain()
         with pytest.raises(ConstraintError):
             coordinator.handoff("nope", 1)
         with pytest.raises(ConstraintError):
             coordinator.handoff("u", 9)
-        coordinator.close()
-        feed.close()
 
-    def test_rebalance_moves_the_hot_topic(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f", hot=30, quiet_w=True)
-        coordinator = skewed_coordinator(feed)
+    def test_rebalance_moves_the_hot_topic(self, coordinate):
+        coordinator, feed, db = coordinate(hot=30, quiet_w=True)
         # Workers attached but NOT drained: topic u's lag dominates.
         move = coordinator.rebalance()
         assert move is not None and move.topic == "u"
         assert coordinator.plan.topic_owner["u"] == move.target
         coordinator.drain()
-        expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert coordinator.graph.as_dict() == expected
-        coordinator.close()
-        feed.close()
+        assert coordinator.graph.as_dict() == expected_graph(db)
+
+
+class TestProcessCoordinatorHandoff(TestCoordinatorHandoff):
+    processes = True
 
 
 class TestDeadWorkerStatus:
-    def test_status_surfaces_a_dead_worker_as_lagging(self, tmp_path):
+    def test_status_surfaces_a_dead_worker_as_lagging(self, coordinate):
         # The regression pin: a worker that died between checkpoint and
         # commit shows up *lagging* from its registered offsets -- not
         # silently absent.
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
+        coordinator, feed, db = coordinate()
         coordinator.drain()
         coordinator.checkpoint()
-        coordinator.workers[0]._consumer.abandon()  # crash, not close
+        coordinator.workers[0].kill()  # crash, not close
         for i in range(5):
             db.execute(f"INSERT INTO u VALUES ({i}, {70 + i})")
         feed.flush()
@@ -232,22 +268,24 @@ class TestDeadWorkerStatus:
         assert dead[0].index == 0
         assert dead[0].lag == 5  # pending records, from registration
         assert dead[0].committed  # the registered offsets survive
-        coordinator.close()
-        feed.close()
+        assert coordinator.lag == 5
 
     def test_restart_preserves_registration_of_the_dead_worker(
-        self, tmp_path
+        self, coordinate
     ):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
+        coordinator, feed, db = coordinate()
         coordinator.drain()
         coordinator.checkpoint()
-        committed_before = dict(coordinator.workers[0].committed)
-        restarted = coordinator.restart(0)
-        # The restart abandons (not closes) the old consumer: had the
-        # re-attach died too, the group would still be registered and
-        # visible as lagging.  The restarted worker resumes exactly.
-        assert restarted.committed == committed_before
-        assert restarted.lag == 0
-        coordinator.close()
-        feed.close()
+        committed_before = coordinator.status()[0].committed
+        coordinator.restart(0)
+        # The restart kills without deregistering: had the re-attach
+        # died too, the group would still be registered and visible as
+        # lagging.  The restarted worker resumes exactly.
+        (row, _) = coordinator.status()
+        assert row.alive
+        assert row.committed == committed_before
+        assert row.lag == 0
+
+
+class TestProcessDeadWorkerStatus(TestDeadWorkerStatus):
+    processes = True

@@ -7,7 +7,6 @@ still proves it held at every mutation (a purely lexical check cannot).
 class Feed:
     def compact(self) -> None:
         guard = self._manifest_lock()
-        # hippolint: disable-next-line=HL001 -- held via `guard`; HL014 proves it
         with guard:
             self._merge_disk_retention()
             self._sweep_orphans()
@@ -15,3 +14,13 @@ class Feed:
     def store(self) -> None:
         with self._manifest_lock():
             self._merge_disk_retention()
+
+    def _reclaim(self) -> None:
+        with self._manifest_lock():
+            self._merge_disk_retention()
+            self._sweep_orphans()
+            self._atomic_json(self.directory / MANIFEST, {"segments": []})
+
+    def _offsets(self) -> None:
+        # Non-manifest writes need no lock.
+        self._atomic_json(self.directory / COMMITS, {"offsets": {}})

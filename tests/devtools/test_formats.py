@@ -126,11 +126,11 @@ def test_select_change_misses_the_cache(project, capsys):
     capsys.readouterr()
     # A different selection must not reuse all-rules results: each
     # file's single cache slot is re-keyed to the new selection.
-    assert main(["src", "--select", "HL001"]) == 0
+    assert main(["src", "--select", "HL014"]) == 0
     capsys.readouterr()
     entries = json.loads(cache_file(project).read_text())["files"]
     selections = {entry["select"] for entry in entries.values()}
-    assert selections == {"HL001"}
+    assert selections == {"HL014"}
 
 
 def test_no_cache_leaves_no_directory(project, capsys):
@@ -150,4 +150,4 @@ def test_corrupt_cache_is_ignored(project, capsys):
 
 def test_select_key_normalizes():
     assert select_key(None) == "*"
-    assert select_key(["HL002", "HL001", "HL002"]) == "HL001,HL002"
+    assert select_key(["HL014", "HL002", "HL014"]) == "HL002,HL014"

@@ -72,7 +72,7 @@ def test_no_orphan_fixtures():
 
 
 def test_registry_is_complete():
-    assert len(RULE_IDS) == 16
+    assert len(RULE_IDS) == 15
     assert RULE_IDS == sorted(RULE_IDS)
     for rule in all_rules():
         assert rule.summary, f"{rule.id} lacks a summary"
@@ -112,7 +112,7 @@ def test_next_line_suppression_only_covers_next_line():
 
 def test_suppression_is_rule_specific():
     path = "src/repro/engine/util.py"
-    source = "print('x')  # hippolint: disable=HL001\n"
+    source = "print('x')  # hippolint: disable=HL014\n"
     assert findings_for("HL010", source, path)
 
 

@@ -23,7 +23,7 @@ def test_hippolint_src_tests_clean(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("HL001", "HL005", "HL010"):
+    for rule_id in ("HL002", "HL005", "HL014"):
         assert rule_id in out
 
 

@@ -276,8 +276,6 @@ def test_process_executor_matches_monolith_across_handoffs(
         constraints,
         workers=2,
         assignment={"p": assignment[0], "c": assignment[1], "u": assignment[2]},
-        mp_context="fork",
-        request_timeout=30.0,
     )
     try:
         for step in sequence:
@@ -285,7 +283,7 @@ def test_process_executor_matches_monolith_across_handoffs(
         feed.flush()
         executor.drain()
         expected = detect_conflicts(db, constraints).hypergraph.as_dict()
-        assert executor.merged_graph().as_dict() == expected
+        assert executor.graph.as_dict() == expected
         for topic, target in moves:
             executor.handoff(topic, target)
             for step in sequence[:3]:
@@ -293,7 +291,7 @@ def test_process_executor_matches_monolith_across_handoffs(
             feed.flush()
             executor.drain()
             expected = detect_conflicts(db, constraints).hypergraph.as_dict()
-            assert executor.merged_graph().as_dict() == expected
+            assert executor.graph.as_dict() == expected
         assert executor.feed.transfers() == {}
     finally:
         executor.close()
