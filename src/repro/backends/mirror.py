@@ -12,7 +12,7 @@ directly usable as conflict-hypergraph vertices.
 
 All SQL text handed to the driver comes from
 :mod:`repro.ra.to_sql` (parameterized rendering and quoting helpers);
-no interpolated SQL is built here (hippolint HL012).
+no interpolated SQL is built here (hippolint HL015).
 """
 
 from __future__ import annotations

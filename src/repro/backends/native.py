@@ -1,11 +1,11 @@
 """The native backend: today's planner / plan executor behind the seam.
 
 This is the reference implementation every other backend is measured
-against (the *differential oracle*): it evaluates SJUD trees through
-:mod:`repro.ra.compile`, SELECT ASTs through the database's planner, and
-residual joins through the same compiled-core machinery conflict
-detection has always used.  It needs no mirroring -- it reads the
-attached database's storage directly.
+against (the *differential oracle*): SJUD trees (through
+:mod:`repro.ra.compile`), SELECT ASTs and residual joins all run on the
+database's one planner -- the same join placement conflict detection
+and the envelope use.  It needs no mirroring -- it reads the attached
+database's storage directly.
 """
 
 from __future__ import annotations

@@ -84,8 +84,9 @@ def violations_of(
 
     The constraint body is structurally an SJ query; with a ``backend``
     its residual join is pushed down there (falling back to native
-    evaluation if the backend declines), otherwise it is compiled
-    through the native plan machinery as always.
+    evaluation, counted in ``db.stats.backend_fallbacks``, if the
+    backend declines), otherwise it is compiled through the native plan
+    machinery as always.
     """
     core = SJUDCore(
         atoms=tuple(Atom(a.alias, a.relation) for a in constraint.atoms),
@@ -98,6 +99,7 @@ def violations_of(
         try:
             rows = backend.residual_join(core)
         except BackendError:
+            db.stats.backend_fallbacks += 1
             rows = compile_core(core, db).rows(())
     else:
         rows = compile_core(core, db).rows(())

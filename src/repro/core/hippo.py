@@ -466,7 +466,7 @@ class HippoEngine:
         is inconsistent".  With a pushing ``backend=`` bound to the
         engine, that RDBMS is literal: the tree is rendered to
         parameterized SQL and executed there (native fallback on
-        decline).
+        decline, counted in ``stats.backend_fallbacks``).
         """
         started = time.perf_counter()
         tree, order_by = self.parse(query)
@@ -476,6 +476,7 @@ class HippoEngine:
             try:
                 rows = self.backend.execute_tree(tree)
             except BackendError:
+                self.db.stats.backend_fallbacks += 1
                 rows = evaluate_tree(tree, self.db)
         else:
             rows = evaluate_tree(tree, self.db)

@@ -170,19 +170,24 @@ class LockStateRule(Rule):
 
 @register
 class TaintedSQLRule(Rule):
-    """HL015: interpolated SQL must not *flow* into an executor.
+    """HL015: SQL handed to an executor is never built by interpolation.
 
-    HL012 flags interpolation at the execute call site itself; this
-    rule tracks taint through intermediate local variables, so
-    ``query = f"..."; ...; cursor.execute(query)`` is caught even when
-    the interpolation and the sink are many statements apart.
+    The backend layer's lowering contract (``ra/to_sql.py``) renders
+    every literal as a bound parameter and every identifier through the
+    quoting helpers; f-string / ``%`` / ``+`` / ``.format()`` text
+    bypasses both, reintroducing injection and type-fidelity bugs the
+    differential oracle suite exists to rule out.  Taint is tracked
+    through local variables, so ``conn.execute(f"...")`` and
+    ``query = f"..."; ...; conn.execute(query)`` are both caught.
+    ``ra/to_sql.py`` itself is the one sanctioned assembly point.
     """
 
     id = "HL015"
     name = "sql-taint"
     summary = (
         "strings built by f-string/%/+/.format() interpolation must not"
-        " flow through variables into execute/executemany/query sinks"
+        " reach execute/executemany/query sinks, directly or through"
+        " variables; render through ra/to_sql.py instead"
     )
     rationale = (
         "backend pushdown lowering contract; dynamic twin: the"
@@ -204,16 +209,14 @@ class TaintedSQLRule(Rule):
         )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
+        domain = TaintDomain()
         for func in _functions(module.tree):
             if not any(
-                terminal_name(call.func) in self.EXECUTORS
-                and call.args
-                and isinstance(call.args[0], ast.Name)
+                self._sink(call) and self._may_taint(domain, call.args[0])
                 for call in _executed_calls(func)
             ):
                 continue
             cfg = build_cfg(func)
-            domain = TaintDomain()
             in_states = analyze(cfg, domain)
             for element, state in replay(cfg, domain, in_states):
                 if not isinstance(element, ast.AST):
@@ -221,19 +224,33 @@ class TaintedSQLRule(Rule):
                 for node in evaluated_nodes(element):
                     if (
                         isinstance(node, ast.Call)
-                        and terminal_name(node.func) in self.EXECUTORS
-                        and node.args
-                        and isinstance(node.args[0], ast.Name)
-                        and node.args[0].id in state
+                        and self._sink(node)
+                        and domain.taints(node.args[0], state)
                     ):
+                        sql = node.args[0]
+                        what = (
+                            f"variable '{sql.id}' holds interpolated SQL and"
+                            if isinstance(sql, ast.Name)
+                            else "SQL built by interpolation"
+                        )
                         yield (
                             node.lineno,
                             node.col_offset,
-                            f"variable '{node.args[0].id}' holds"
-                            " interpolated SQL and reaches an execute"
-                            " sink; render through ra/to_sql.py"
-                            " parameterization instead",
+                            f"{what} reaches an execute sink; render"
+                            " through ra/to_sql.py parameterization instead",
                         )
+
+    def _sink(self, call: ast.Call) -> bool:
+        return bool(call.args) and terminal_name(call.func) in self.EXECUTORS
+
+    @staticmethod
+    def _may_taint(domain: TaintDomain, arg: ast.expr) -> bool:
+        """Whether ``arg`` is tainted in *some* state: with every name
+        it mentions tainted (taint is monotone in the state)."""
+        names = frozenset(
+            node.id for node in ast.walk(arg) if isinstance(node, ast.Name)
+        )
+        return domain.taints(arg, names)
 
 
 @register

@@ -22,7 +22,7 @@ from repro.engine.feed import (
     deserialize_schema,
 )
 from repro.engine.expressions import ExpressionCompiler, Scope
-from repro.engine.plan import Filter, Scan, run_plan
+from repro.engine.plan import run_plan
 from repro.engine.planner import PlanCache, PlannedQuery, Planner
 from repro.engine.schema import Column, TableSchema
 from repro.engine.snapshot import restore_database, snapshot_database
@@ -291,13 +291,7 @@ class Database:
         the statement→plan cache holds a plan compiled under the current
         catalog epoch (see :meth:`invalidate_plans`).
         """
-        cached = self._run_cached(sql)
-        if cached is not None:
-            return cached
-        statement = parse_statement(sql)
-        if isinstance(statement, ast.SelectStatement):
-            return self._run_select(sql, statement.query)
-        return self.execute_statement(statement)
+        return self._execute_text(sql, select_only=False)
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a ``;``-separated script, returning one result each."""
@@ -306,13 +300,28 @@ class Database:
     def query(self, sql: str) -> Result:
         """Execute a statement that must be a query (plan-cached like
         :meth:`execute`)."""
-        cached = self._run_cached(sql)
-        if cached is not None:
-            return cached
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.SelectStatement):
-            raise ExecutionError("query() requires a SELECT statement")
-        return self._run_select(sql, statement.query)
+        return self._execute_text(sql, select_only=True)
+
+    def _execute_text(self, sql: str, select_only: bool) -> Result:
+        """Execute statement text: a SELECT from the plan cache when it
+        holds a current plan, anything else parsed and executed."""
+        planned = self.plan_cache.get(
+            sql, self._plan_epoch(), backend=self.backend_id
+        )
+        if planned is not None:
+            self.stats.statements += 1
+            rows = run_plan(planned.plan)
+            result = Result(planned.columns, rows, len(rows))
+        else:
+            statement = parse_statement(sql)
+            if not isinstance(statement, ast.SelectStatement):
+                if select_only:
+                    raise ExecutionError("query() requires a SELECT statement")
+                return self.execute_statement(statement)
+            self.stats.statements += 1
+            result = self._execute_select(statement.query, sql)
+        self._maybe_checkpoint()
+        return result
 
     def _plan_epoch(self) -> tuple[int, int]:
         """The catalog epoch cached plans are stamped with: DDL bumps
@@ -368,38 +377,29 @@ class Database:
         except BackendError:
             self.stats.backend_fallbacks += 1
             return None
-        self._maybe_checkpoint()
         return Result(list(columns), rows, len(rows))
 
     # ------------------------------------------------------------- execution
 
-    def _run_cached(self, sql: str) -> Optional[Result]:
-        """Execute ``sql`` from the plan cache; None on a cache miss."""
-        planned = self.plan_cache.get(
-            sql, self._plan_epoch(), backend=self.backend_id
-        )
-        if planned is None:
-            return None
-        self.stats.statements += 1
-        rows = run_plan(planned.plan)
-        self._maybe_checkpoint()
-        return Result(planned.columns, rows, len(rows))
+    def _execute_select(self, query: ast.Query, sql: Optional[str] = None) -> Result:
+        """Execute a SELECT: on the attached backend when it takes it,
+        else planned and run natively.
 
-    def _run_select(self, sql: str, query: ast.Query) -> Result:
-        """Plan, cache (when safe) and execute a SELECT."""
-        self.stats.statements += 1
+        With the statement text ``sql`` known, native planning counts a
+        plan-cache miss and caches the plan (when it is safe to reuse).
+        """
         pushed = self._push_select(query)
         if pushed is not None:
             return pushed
-        self.stats.plan_cache_misses += 1
+        if sql is not None:
+            self.stats.plan_cache_misses += 1
         planner = Planner(self.catalog, self.stats)
         planned = planner.plan_query(query)
-        if planner.cacheable:
+        if sql is not None and planner.cacheable:
             self.plan_cache.put(
                 sql, self._plan_epoch(), planned, backend=self.backend_id
             )
         rows = run_plan(planned.plan)
-        self._maybe_checkpoint()
         return Result(planned.columns, rows, len(rows))
 
     def execute_statement(self, statement: ast.Statement) -> Result:
@@ -484,14 +484,6 @@ class Database:
 
     # ------------------------------------------------------------- internals
 
-    def _execute_select(self, query: ast.Query) -> Result:
-        pushed = self._push_select(query)
-        if pushed is not None:
-            return pushed
-        planned = self.plan(query)
-        rows = run_plan(planned.plan)
-        return Result(planned.columns, rows, len(rows))
-
     def _execute_create(self, statement: ast.CreateTable) -> Result:
         if statement.if_not_exists and self.catalog.has_table(statement.name):
             return Result([], [], 0)
@@ -558,45 +550,36 @@ class Database:
         return Result([], [], count)
 
     def _matching_tids(
-        self, table: Table, where: Optional[ast.Expression]
+        self, table_name: str, where: Optional[ast.Expression]
     ) -> list[tuple[int, tuple]]:
-        """(tid, row) pairs of rows satisfying ``where``."""
-        scan = Scan(table, self.stats, include_tid=True)
-        node = scan
-        if where is not None:
-            scope = Scope(
-                [(table.schema.name, c.lower()) for c in table.schema.column_names],
-                None,
-                0,
-            )
-            planner = Planner(self.catalog, self.stats)
-            compiler = planner._compiler(scope)
-            node = Filter(scan, compiler.compile_predicate(where))
-        return [(row[-1], row[:-1]) for row in run_plan(node)]
+        """(tid, row) pairs of the rows ``where`` selects: a one-source
+        join for the planner."""
+        planner = Planner(self.catalog, self.stats)
+        source = planner.table_source(table_name, include_tid=True)
+        source = planner.plan_where([source], where)
+        return [(row[-1], row[:-1]) for row in run_plan(source.node)]
 
     def _execute_delete(self, statement: ast.Delete) -> Result:
         table = self.catalog.table(statement.table)
-        matches = self._matching_tids(table, statement.where)
+        matches = self._matching_tids(statement.table, statement.where)
         for tid, _row in matches:
             table.delete(tid)
         return Result([], [], len(matches))
 
     def _execute_update(self, statement: ast.Update) -> Result:
         table = self.catalog.table(statement.table)
-        schema = table.schema
-        scope = Scope(
-            [(schema.name, c.lower()) for c in schema.column_names], None, 0
-        )
         planner = Planner(self.catalog, self.stats)
-        compiler = planner._compiler(scope)
-        compiled = [
-            (schema.index_of(column), compiler.compile(value))
-            for column, value in statement.assignments
+        evaluators = planner.compile_expressions(
+            planner.table_source(statement.table),
+            [value for _column, value in statement.assignments],
+        )
+        positions = [
+            table.schema.index_of(column) for column, _value in statement.assignments
         ]
-        matches = self._matching_tids(table, statement.where)
+        matches = self._matching_tids(statement.table, statement.where)
         for tid, row in matches:
             new_row = list(row)
-            for index, evaluator in compiled:
+            for index, evaluator in zip(positions, evaluators):
                 new_row[index] = evaluator((row,))
             table.update(tid, new_row)
         return Result([], [], len(matches))

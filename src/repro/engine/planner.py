@@ -4,20 +4,30 @@ The planner performs the classic minimal set of rewrites a real system
 needs to make the Hippo experiments meaningful:
 
 * WHERE clauses are split into conjuncts;
-* equality conjuncts linking two FROM sources become hash joins (the
-  paper's conflict-detection self-joins and the envelope queries rely on
-  this to run in linear time, exactly as PostgreSQL would execute them);
-* remaining conjuncts become filters at the earliest point where all of
-  their columns are available;
+* every conjunct is placed at the earliest point where all of its
+  columns are available: a source takes the conjuncts it can evaluate
+  alone (as an index or columnar access path when one fits, else as a
+  filter directly above its scan), and each join takes the ones that
+  need both of its sides;
+* equality conjuncts linking the two sides of a join become hash-join
+  keys (the paper's conflict-detection self-joins and the envelope
+  queries rely on this to run in linear time, exactly as PostgreSQL
+  would execute them);
 * correlated EXISTS / IN subqueries are compiled into subplans with a memo
   cache keyed on the captured outer values, which stands in for the index
   scans an RDBMS would use when executing the rewriting baseline's
   ``NOT EXISTS`` residues.
+
+:meth:`Planner.join_sources` is the one place conjuncts are placed.
+SQL SELECTs, DML ``WHERE`` clauses and Hippo's SJUD cores
+(:func:`repro.ra.compile.compile_core`) all go through it, so the
+envelope, raw answers, conflict detection and the rewriting baseline
+run on the same join planner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.engine import functions, plan
@@ -43,9 +53,9 @@ def _eq_types_compatible(column_type: SQLType, value: SQLValue) -> bool:
 
     Mirrors :func:`repro.engine.types.compare_values`: identical types or
     numeric-with-numeric compare fine; everything else raises there, so
-    the vectorized equality path must decline and leave the conjunct to
-    the compiled predicate (which surfaces the error).  A NULL literal is
-    fine -- ``= NULL`` matches nothing on every path.
+    the index and vectorized equality paths must decline and leave the
+    conjunct to the compiled predicate (which surfaces the error).  A
+    NULL literal is fine -- ``= NULL`` matches nothing on every path.
     """
     if value is None:
         return True
@@ -200,17 +210,14 @@ class PlanCache:
 
 
 @dataclass
-class _Source:
-    """A planned FROM item: its plan plus visible columns.
-
-    ``consumed`` records conjuncts already absorbed into the access path
-    (index lookups), so callers drop them instead of re-filtering.
-    """
+class Source:
+    """A planned join input -- a FROM item or an SJUD atom -- with the
+    ``(binding, column)`` entries that make its columns visible and the
+    display names ``*`` expands to."""
 
     node: plan.PlanNode
     entries: list[tuple[Optional[str], str]]
     displays: list[str]
-    consumed: list[ast.Expression] = field(default_factory=list)
 
 
 class _Subplan:
@@ -383,6 +390,18 @@ def _resolvable(expr: ast.Expression, entries: list[tuple[Optional[str], str]]) 
     return True
 
 
+def _split_resolvable(
+    conjuncts: Sequence[ast.Expression], entries: list[tuple[Optional[str], str]]
+) -> tuple[list[ast.Expression], list[ast.Expression]]:
+    """``conjuncts`` split into those resolvable within ``entries`` and
+    the rest, both in their original order."""
+    inside: list[ast.Expression] = []
+    outside: list[ast.Expression] = []
+    for conjunct in conjuncts:
+        (inside if _resolvable(conjunct, entries) else outside).append(conjunct)
+    return inside, outside
+
+
 class Planner:
     """Plans queries against a catalog, producing physical plans."""
 
@@ -424,6 +443,119 @@ class Planner:
             node = plan.Limit(node, query.limit, query.offset)
         return PlannedQuery(node, displays)
 
+    def table_source(
+        self,
+        name: str,
+        binding: Optional[str] = None,
+        include_tid: bool = False,
+        keep_tids: Optional[frozenset[int]] = None,
+    ) -> Source:
+        """A full scan of table ``name`` as a join input, its columns
+        visible under ``binding`` (default: ``name``).
+
+        With ``include_tid`` each row carries its tid last, visible as
+        column ``#tid``; ``keep_tids`` restricts the scan to those tids.
+        Such scans keep their access path (see :meth:`_try_index_scan`),
+        since both are per-row contracts an index lookup does not honour.
+
+        Raises:
+            CatalogError: for an unknown table.
+        """
+        table = self.catalog.table(name)
+        binding = (binding or name).lower()
+        columns = list(table.schema.column_names) + (["#tid"] if include_tid else [])
+        node = plan.Scan(
+            table, self.stats, include_tid=include_tid, keep_tids=keep_tids
+        )
+        return Source(node, [(binding, column.lower()) for column in columns], columns)
+
+    def join_sources(
+        self,
+        sources: Sequence[Source],
+        conjuncts: Sequence[ast.Expression],
+        outer_scope: Optional[Scope] = None,
+        level: int = 0,
+    ) -> tuple[Source, list[ast.Expression]]:
+        """Inner-join planned ``sources`` left to right, placing each
+        conjunct at the earliest point where its columns are available.
+
+        Each source first takes the conjuncts it can evaluate alone (an
+        index or columnar access path when one fits, then a filter).
+        Each join then takes the conjuncts that need both of its sides:
+        an equality between a column of each side becomes a hash key,
+        anything else part of the join's residual predicate.
+
+        ``sources`` are updated in place and must not be empty.
+        Returns the joined source and, in their original order, the
+        conjuncts no join could evaluate: those referencing columns
+        outside ``sources`` (correlated or unknown references).
+        """
+        pending = list(conjuncts)
+        joined: Optional[Source] = None
+        for source in sources:
+            pending = self._take_local(source, pending, outer_scope, level)
+            if joined is None:
+                joined = source
+                continue
+            usable, pending = _split_resolvable(
+                pending, joined.entries + source.entries
+            )
+            joined = self._combine(
+                joined, source, usable, "inner", outer_scope, level
+            )
+        assert joined is not None, "join_sources needs at least one source"
+        return joined, pending
+
+    def plan_where(
+        self,
+        sources: Sequence[Source],
+        where: Optional[ast.Expression],
+        outer_scope: Optional[Scope] = None,
+        level: int = 0,
+    ) -> Source:
+        """Join ``sources`` and filter them by ``where``: the WHERE path
+        of SELECT cores and of DML.
+
+        Every column reference is first resolved against the combined
+        scope of ``sources`` (and the enclosing query's), so an unknown
+        or ambiguous reference fails before any conjunct is placed.
+        Conjuncts without subqueries are placed by :meth:`join_sources`;
+        the rest, and any correlated leftovers, filter the joined rows.
+
+        Raises:
+            PlanError: for an unknown or ambiguous column reference.
+        """
+        scope = Scope(
+            [entry for source in sources for entry in source.entries],
+            outer_scope,
+            level,
+        )
+        conjuncts = ast.split_conjuncts(where)
+        for conjunct in conjuncts:
+            for ref in column_refs(conjunct):
+                scope.resolve(ref.table, ref.name)
+        # Subqueries may correlate with anything: they filter last.
+        late = [c for c in conjuncts if contains_subquery(c)]
+        joinable = [c for c in conjuncts if not contains_subquery(c)]
+        joined, leftovers = self.join_sources(sources, joinable, outer_scope, level)
+        if leftovers or late:
+            joined.node = plan.Filter(
+                joined.node, self._predicate(scope, leftovers + late)
+            )
+        return joined
+
+    def compile_expressions(
+        self, source: Source, expressions: Sequence[ast.Expression]
+    ) -> list[Evaluator]:
+        """Evaluators of ``expressions`` over rows of ``source`` (an
+        ``UPDATE``'s SET list, an SJUD core's outputs).
+
+        Raises:
+            PlanError: for an unknown or ambiguous column reference.
+        """
+        compiler = self._compiler(Scope(list(source.entries)))
+        return [compiler.compile(expr) for expr in expressions]
+
     # ----------------------------------------------------------- query body
 
     def _plan_body(
@@ -463,30 +595,18 @@ class Planner:
         self, core: ast.SelectCore, outer_scope: Optional[Scope]
     ) -> tuple[plan.PlanNode, list[tuple[Optional[str], str]], list[str]]:
         level = outer_scope.level + 1 if outer_scope is not None else 0
-
-        conjuncts = ast.split_conjuncts(core.where)
-        # Conjuncts containing subqueries are applied at the end, after the
-        # full row scope exists (they may be correlated with anything).
-        join_candidates = [c for c in conjuncts if not contains_subquery(c)]
-        late_conjuncts = [c for c in conjuncts if contains_subquery(c)]
-
-        if core.from_items:
-            source, leftovers = self._plan_from_list(
-                core.from_items, join_candidates, outer_scope, level
-            )
-        else:
-            source = _Source(plan.SingleRow(), [], [])
-            leftovers = join_candidates
-
+        sources = [
+            self._plan_from_item(item, outer_scope, level)
+            for item in core.from_items
+        ]
+        source = self.plan_where(
+            sources or [Source(plan.SingleRow(), [], [])],
+            core.where,
+            outer_scope,
+            level,
+        )
         from_scope = Scope(list(source.entries), outer_scope, level)
         node = source.node
-        remaining = leftovers + late_conjuncts
-        if remaining:
-            compiler = self._compiler(from_scope)
-            predicate = compiler.compile_predicate(
-                ast.conjunction(remaining)  # type: ignore[arg-type]
-            )
-            node = plan.Filter(node, predicate)
 
         select_items = self._expand_stars(core.items, source)
 
@@ -512,59 +632,29 @@ class Planner:
 
     # ------------------------------------------------------------- FROM list
 
-    def _plan_from_list(
+    def _take_local(
         self,
-        from_items: Sequence[ast.FromItem],
-        candidates: list[ast.Expression],
-        outer_scope: Optional[Scope],
-        level: int,
-    ) -> tuple[_Source, list[ast.Expression]]:
-        """Combine comma-separated FROM items, consuming join conjuncts."""
-        unused = list(candidates)
-        combined: Optional[_Source] = None
-        for item in from_items:
-            source = self._plan_from_item(item, outer_scope, level)
-            if combined is None:
-                combined = source
-                # Apply single-source conjuncts immediately (pushdown).
-                unused = self._apply_local_filters(combined, unused, outer_scope, level)
-                continue
-            usable = [
-                c
-                for c in unused
-                if _resolvable(c, combined.entries + source.entries)
-            ]
-            combined = self._combine(
-                combined, source, usable, "inner", outer_scope, level
-            )
-            unused = [c for c in unused if c not in usable]
-            unused = self._apply_local_filters(combined, unused, outer_scope, level)
-        assert combined is not None
-        return combined, unused
-
-    def _apply_local_filters(
-        self,
-        source: _Source,
+        source: Source,
         conjuncts: list[ast.Expression],
         outer_scope: Optional[Scope],
         level: int,
     ) -> list[ast.Expression]:
-        """Filter ``source`` by the conjuncts it can already evaluate.
-
-        When the source is a bare table scan and constant-equality
-        conjuncts cover a secondary index, the scan is replaced by an
-        index lookup and those conjuncts are consumed.
-        """
-        local = [c for c in conjuncts if _resolvable(c, source.entries)]
+        """Filter ``source`` by the conjuncts it can evaluate alone;
+        returns the others."""
+        local, rest = _split_resolvable(conjuncts, source.entries)
         local = self._try_index_scan(source, local)
         if local:
             scope = Scope(list(source.entries), outer_scope, level)
-            compiler = self._compiler(scope)
-            predicate = compiler.compile_predicate(
-                ast.conjunction(local)  # type: ignore[arg-type]
-            )
-            source.node = plan.Filter(source.node, predicate)
-        return [c for c in conjuncts if c not in local and c not in source.consumed]
+            source.node = plan.Filter(source.node, self._predicate(scope, local))
+        return rest
+
+    def _predicate(
+        self, scope: Scope, conjuncts: list[ast.Expression]
+    ) -> Callable[[Env], bool]:
+        """The compiled conjunction of ``conjuncts`` over ``scope``."""
+        return self._compiler(scope).compile_predicate(
+            ast.conjunction(conjuncts)  # type: ignore[arg-type]
+        )
 
     @staticmethod
     def _constant_equality(
@@ -581,15 +671,20 @@ class Planner:
         return None
 
     def _try_index_scan(
-        self, source: _Source, local: list[ast.Expression]
+        self, source: Source, local: list[ast.Expression]
     ) -> list[ast.Expression]:
-        """Replace a plain scan with a better constant-equality access path.
+        """Replace a plain scan with a better constant-equality access
+        path; returns the conjuncts it did not absorb.
 
         Preference order: an :class:`~repro.engine.plan.IndexScan` when a
         hash index covers the equality columns, else a vectorized
         :class:`~repro.engine.plan.ColumnEqScan` over the columnar batch
-        (same NULL-never-matches semantics, no index required).  Consumed
-        conjuncts are recorded on the source so callers drop them.
+        (same NULL-never-matches semantics, no index required).  Either
+        path only absorbs equalities SQL comparison rules accept (a
+        Filter rejects TEXT = INTEGER; so must the lookup, leaving such
+        a conjunct to the compiled predicate), so an index never changes
+        a query's outcome.  Scans carrying tids or a tid restriction
+        keep their access path.
         """
         node = source.node
         if (
@@ -598,68 +693,40 @@ class Planner:
             or node.keep_tids is not None
         ):
             return local
-        table = node.table
+        schema = node.table.schema
         by_position: dict[int, tuple[ast.Expression, object]] = {}
         for conjunct in local:
             match = self._constant_equality(conjunct)
-            if match is None:
+            if match is None or not schema.has_column(match[0].name):
                 continue
-            ref, value = match
-            if not table.schema.has_column(ref.name):
-                continue
-            by_position.setdefault(
-                table.schema.index_of(ref.name), (conjunct, value)
-            )
-        best: Optional[tuple[int, ...]] = None
-        for positions in table.indexed_column_sets():
-            if all(p in by_position for p in positions):
-                if best is None or len(positions) > len(best):
-                    best = positions
-        if best is None:
-            # No covering index: vectorized equality over the columnar
-            # batch still beats a per-row compiled predicate -- but only
-            # where SQL comparison rules would not raise (a Filter
-            # rejects TEXT = INTEGER; the batch path must too, so it
-            # leaves incomparable conjuncts to the compiled predicate).
-            positions_eq = tuple(
-                sorted(
-                    p
-                    for p, (_conjunct, value) in by_position.items()
-                    if _eq_types_compatible(
-                        table.schema.columns[p].sql_type, value
-                    )
-                )
-            )
-            if not positions_eq:
-                return local
-            consumed = [by_position[p][0] for p in positions_eq]
-            values = [by_position[p][1] for p in positions_eq]
-            source.node = plan.ColumnEqScan(
-                table, self.stats, positions_eq, values
-            )
-            source.consumed.extend(consumed)
-            return [c for c in local if c not in consumed]
-        consumed = [by_position[p][0] for p in best]
-        values = [by_position[p][1] for p in best]
-        source.node = plan.IndexScan(table, self.stats, best, values)
-        source.consumed.extend(consumed)
-        return [c for c in local if c not in consumed]
+            position = schema.index_of(match[0].name)
+            if _eq_types_compatible(schema.columns[position].sql_type, match[1]):
+                by_position.setdefault(position, (conjunct, match[1]))
+        if not by_position:
+            return local
+        covered = [
+            positions
+            for positions in node.table.indexed_column_sets()
+            if all(p in by_position for p in positions)
+        ]
+        positions = max(covered, key=len) if covered else tuple(sorted(by_position))
+        values = [by_position[p][1] for p in positions]
+        if covered:
+            source.node = plan.IndexScan(node.table, self.stats, positions, values)
+        else:
+            source.node = plan.ColumnEqScan(node.table, self.stats, positions, values)
+        consumed = [by_position[p][0] for p in positions]
+        return [c for c in local if not any(c is used for used in consumed)]
 
     def _plan_from_item(
         self, item: ast.FromItem, outer_scope: Optional[Scope], level: int
-    ) -> _Source:
+    ) -> Source:
         if isinstance(item, ast.TableRef):
-            table = self.catalog.table(item.name)
-            binding = item.binding
-            entries = [
-                (binding, column.lower()) for column in table.schema.column_names
-            ]
-            displays = list(table.schema.column_names)
-            return _Source(plan.Scan(table, self.stats), entries, displays)
+            return self.table_source(item.name, item.binding)
         if isinstance(item, ast.DerivedTable):
             planned = self.plan_query(item.query, outer_scope)
             entries = [(item.alias, name.lower()) for name in planned.columns]
-            return _Source(planned.plan, entries, list(planned.columns))
+            return Source(planned.plan, entries, list(planned.columns))
         if isinstance(item, ast.Join):
             left = self._plan_from_item(item.left, outer_scope, level)
             right = self._plan_from_item(item.right, outer_scope, level)
@@ -676,17 +743,16 @@ class Planner:
 
     def _combine(
         self,
-        left: _Source,
-        right: _Source,
+        left: Source,
+        right: Source,
         conjuncts: list[ast.Expression],
         kind: str,
         outer_scope: Optional[Scope],
         level: int,
-    ) -> _Source:
+    ) -> Source:
         """Join two sources, picking a hash join when equi-keys exist."""
         entries = left.entries + right.entries
         displays = left.displays + right.displays
-        scope = Scope(list(entries), outer_scope, level)
 
         equi_pairs: list[tuple[ast.ColumnRef, ast.ColumnRef]] = []
         residual: list[ast.Expression] = []
@@ -697,12 +763,11 @@ class Planner:
             else:
                 residual.append(conjunct)
 
-        residual_predicate = None
-        if residual:
-            compiler = self._compiler(scope)
-            residual_predicate = compiler.compile_predicate(
-                ast.conjunction(residual)  # type: ignore[arg-type]
-            )
+        residual_predicate = (
+            self._predicate(Scope(list(entries), outer_scope, level), residual)
+            if residual
+            else None
+        )
 
         if equi_pairs and kind in ("inner", "left"):
             left_scope = Scope(list(left.entries), outer_scope, level)
@@ -716,14 +781,14 @@ class Planner:
             node: plan.PlanNode = plan.HashJoin(
                 left.node, right.node, left_keys, right_keys, residual_predicate, kind
             )
-            return _Source(node, entries, displays)
+            return Source(node, entries, displays)
 
         join_kind = kind if kind != "inner" or residual_predicate else "cross"
         node = plan.NestedLoopJoin(left.node, right.node, residual_predicate, join_kind)
-        return _Source(node, entries, displays)
+        return Source(node, entries, displays)
 
     def _equi_pair(
-        self, conjunct: ast.Expression, left: _Source, right: _Source
+        self, conjunct: ast.Expression, left: Source, right: Source
     ) -> Optional[tuple[ast.ColumnRef, ast.ColumnRef]]:
         """Detect ``left_col = right_col`` conjuncts linking the two sides."""
         if not (
@@ -889,7 +954,7 @@ class Planner:
     def _expand_stars(
         self,
         items: Sequence[Union[ast.SelectItem, ast.Star]],
-        source: _Source,
+        source: Source,
     ) -> list[ast.SelectItem]:
         expanded: list[ast.SelectItem] = []
         for item in items:

@@ -1,10 +1,14 @@
 """Compilation of SJUD trees into engine plans, with tid provenance.
 
 Hippo hands the envelope query to the RDBMS for evaluation; here the
-equivalent is compiling a core into a physical plan over the engine.  Each
-compiled core's rows carry one trailing *tid column per atom*, which is the
-provenance the extended-envelope optimization uses to answer membership
-checks without further queries.
+equivalent is handing a core to the engine's own planner.  Each atom
+becomes a tid-carrying scan, and :meth:`repro.engine.planner.Planner.join_sources`
+places the core's conjuncts exactly as it places a SQL ``WHERE``
+clause's, so the envelope, raw answers, conflict detection and the
+rewriting baseline all run on one join planner.  Each compiled core's
+rows carry one trailing *tid column per atom*, which is the provenance
+the extended-envelope optimization uses to answer membership checks
+without further queries.
 
 Every scan can also be *restricted* to a tid set: evaluating a query over
 a repair, over the conflict-free core of the database (``Q-down``), or over
@@ -21,20 +25,17 @@ into one per batch.  Restricted scans keep the row-at-a-time path.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.engine import plan as physical
 from repro.engine.database import Database
-from repro.engine.expressions import ExpressionCompiler, Scope
+from repro.engine.planner import Planner
 from repro.errors import AlgebraError
 from repro.sql import ast
 from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 
 #: Maps a relation name to the tids allowed in a scan (None = all rows).
 Restriction = Callable[[str], Optional[frozenset[int]]]
-
-#: The visible columns of a (partial) plan: ``(alias, column)`` pairs.
-Entries = Sequence[tuple[Optional[str], str]]
 
 
 def unrestricted(_relation: str) -> Optional[frozenset[int]]:
@@ -50,135 +51,36 @@ def compile_core(
     """Compile one core into a plan.
 
     Output rows are ``output values + one tid per atom`` (atom order).
-    Equality conjuncts between two atoms become hash joins; everything
-    else is evaluated as a filter at the earliest possible position.
+    The atoms are joined in order by the engine planner: equality
+    conjuncts between two atoms become hash joins, everything else a
+    filter at the earliest possible position.
+
+    Raises:
+        AlgebraError: when a conjunct references a column no atom has.
     """
-    sources: list[tuple[physical.PlanNode, list[tuple[Optional[str], str]]]] = []
-    for atom in core.atoms:
-        table = db.catalog.table(atom.relation)
-        entries = [
-            (atom.alias.lower(), column.lower())
-            for column in table.schema.column_names
-        ]
-        entries.append((atom.alias.lower(), "#tid"))
-        scan = physical.Scan(
-            table, db.stats, include_tid=True, keep_tids=restrict(atom.relation)
+    planner = Planner(db.catalog, db.stats)
+    sources = [
+        planner.table_source(
+            atom.relation,
+            atom.alias,
+            include_tid=True,
+            keep_tids=restrict(atom.relation),
         )
-        sources.append((scan, entries))
-
-    conjuncts = ast.split_conjuncts(core.condition)
-    used: set[int] = set()
-
-    def resolvable(expr: ast.Expression, entries: Entries) -> bool:
-        probe = Scope(list(entries))
-        from repro.engine.planner import column_refs
-        from repro.errors import PlanError
-
-        for ref in column_refs(expr):
-            try:
-                probe.resolve(ref.table, ref.name)
-            except PlanError:
-                return False
-        return True
-
-    def apply_local(node: physical.PlanNode, entries: Entries) -> physical.PlanNode:
-        local = [
-            index
-            for index, conjunct in enumerate(conjuncts)
-            if index not in used and resolvable(conjunct, entries)
-        ]
-        if not local:
-            return node
-        used.update(local)
-        scope = Scope(list(entries))
-        predicate = ExpressionCompiler(scope).compile_predicate(
-            ast.conjunction([conjuncts[i] for i in local])  # type: ignore[arg-type]
-        )
-        return physical.Filter(node, predicate)
-
-    node, entries = sources[0]
-    node = apply_local(node, entries)
-    for next_node, next_entries in sources[1:]:
-        next_node = apply_local(next_node, next_entries)
-        combined_entries = entries + next_entries
-        equi: list[tuple[ast.ColumnRef, ast.ColumnRef]] = []
-        residual: list[ast.Expression] = []
-        for index, conjunct in enumerate(conjuncts):
-            if index in used or not resolvable(conjunct, combined_entries):
-                continue
-            pair = _equi_pair(conjunct, entries, next_entries)
-            used.add(index)
-            if pair is not None:
-                equi.append(pair)
-            else:
-                residual.append(conjunct)
-        residual_predicate = None
-        if residual:
-            scope = Scope(list(combined_entries))
-            residual_predicate = ExpressionCompiler(scope).compile_predicate(
-                ast.conjunction(residual)  # type: ignore[arg-type]
-            )
-        if equi:
-            left_scope = Scope(list(entries))
-            right_scope = Scope(list(next_entries))
-            node = physical.HashJoin(
-                node,
-                next_node,
-                [ExpressionCompiler(left_scope).compile(l) for l, _r in equi],
-                [ExpressionCompiler(right_scope).compile(r) for _l, r in equi],
-                residual_predicate,
-            )
-        else:
-            kind = "inner" if residual_predicate else "cross"
-            node = physical.NestedLoopJoin(node, next_node, residual_predicate, kind)
-        entries = combined_entries
-        node = apply_local(node, entries)
-
-    unused = [conjuncts[i] for i in range(len(conjuncts)) if i not in used]
+        for atom in core.atoms
+    ]
+    joined, unused = planner.join_sources(
+        sources, ast.split_conjuncts(core.condition)
+    )
     if unused:
         raise AlgebraError(
             f"condition references unknown columns: {unused[0]!r}"
         )
-
-    scope = Scope(list(entries))
-    compiler = ExpressionCompiler(scope)
-    evaluators = [compiler.compile(column.source) for column in core.outputs]
-    for atom in core.atoms:
-        evaluators.append(compiler.compile(ast.ColumnRef(atom.alias, "#tid")))
-    return physical.Project(node, evaluators)
-
-
-def _equi_pair(
-    conjunct: ast.Expression,
-    left_entries: Entries,
-    right_entries: Entries,
-) -> Optional[tuple[ast.ColumnRef, ast.ColumnRef]]:
-    """Detect an equality conjunct linking the two entry sets."""
-    if not (
-        isinstance(conjunct, ast.BinaryOp)
-        and conjunct.op == "="
-        and isinstance(conjunct.left, ast.ColumnRef)
-        and isinstance(conjunct.right, ast.ColumnRef)
-    ):
-        return None
-
-    def side_of(ref: ast.ColumnRef) -> Optional[str]:
-        key = (ref.table.lower() if ref.table else None, ref.name.lower())
-        in_left = key in left_entries
-        in_right = key in right_entries
-        if in_left and not in_right:
-            return "left"
-        if in_right and not in_left:
-            return "right"
-        return None
-
-    left_side = side_of(conjunct.left)
-    right_side = side_of(conjunct.right)
-    if left_side == "left" and right_side == "right":
-        return (conjunct.left, conjunct.right)
-    if left_side == "right" and right_side == "left":
-        return (conjunct.right, conjunct.left)
-    return None
+    evaluators = planner.compile_expressions(
+        joined,
+        [column.source for column in core.outputs]
+        + [ast.ColumnRef(atom.alias, "#tid") for atom in core.atoms],
+    )
+    return physical.Project(joined.node, evaluators)
 
 
 def evaluate_core(

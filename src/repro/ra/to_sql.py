@@ -13,7 +13,7 @@ backend's parameter style and its value is appended to an ordered
 argument list (:class:`ParameterizedSQL`).  Identifiers go through
 :func:`~repro.sql.formatter.format_identifier` (this module's quoting
 helpers are the only place SQL text may be assembled from strings --
-hippolint rule ``HL012`` enforces that at execute call sites).  All SJUD
+hippolint rule ``HL015`` enforces that at every execute call site).  All SJUD
 node shapes render: cores (selection, join, restricted projection,
 constant outputs), unions and differences, plus the full condition
 grammar (comparisons, ``AND``/``OR``/``NOT``, ``IS NULL``, ``IN``,

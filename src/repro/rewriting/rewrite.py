@@ -134,23 +134,24 @@ class RewritingEngine:
             backend: an execution backend to push the rewritten SQL to
                 (see :mod:`repro.backends`) -- the rewriting method's
                 "any RDBMS can evaluate Q'" claim made literal.  A
-                backend that declines the query falls back to native
-                execution; None always runs natively.
+                backend that declines the query falls back to the
+                database's own executor, counting one
+                ``backend_fallbacks``; None always uses that executor.
         """
         started = time.perf_counter()
         rewritten = self.rewrite(query)
-        columns: Sequence[str]
-        if backend is not None:
+        pushed: Optional[tuple[Sequence[str], list[tuple]]] = None
+        # The database's attached backend is offered the statement (and
+        # counts its fallback) by execute_statement itself.
+        if backend is not None and backend is not self.db.backend:
             try:
-                columns, result_rows = backend.execute_query(rewritten)
+                pushed = backend.execute_query(rewritten)
             except BackendError:
-                result = self.db.execute_statement(
-                    ast.SelectStatement(rewritten)
-                )
-                columns, result_rows = result.columns, result.rows
-        else:
+                self.db.stats.backend_fallbacks += 1
+        if pushed is None:
             result = self.db.execute_statement(ast.SelectStatement(rewritten))
-            columns, result_rows = result.columns, result.rows
+            pushed = result.columns, result.rows
+        columns, result_rows = pushed
         rows = sorted(
             set(result_rows), key=lambda row: tuple(sort_key(v) for v in row)
         )

@@ -18,6 +18,8 @@ from repro.backends import (
     duckdb_available,
 )
 from repro.backends.duckdb import DuckDBBackend
+from repro.constraints import FunctionalDependency
+from repro.core.hippo import HippoEngine
 from repro.errors import BackendError
 from repro.ra import (
     Atom,
@@ -26,6 +28,7 @@ from repro.ra import (
     from_sql_query,
     tree_to_query,
 )
+from repro.rewriting import RewritingEngine
 from repro.sql import ast
 from repro.sql.parser import parse_query
 
@@ -260,12 +263,28 @@ class TestDatabaseSeam:
         assert two_table_db.stats.backend_pushdowns == 0
 
     def test_fallback_on_backend_error(self, two_table_db):
-        """A value outside SQLite's integer range falls back natively."""
+        """A value outside SQLite's integer range falls back natively,
+        and every entry point counts exactly one fallback for it."""
         huge = 2**70
         two_table_db.attach_backend(SQLiteBackend())
         result = two_table_db.query(f"SELECT a, b FROM r WHERE a <> {huge}")
         assert two_table_db.stats.backend_fallbacks == 1
         assert len(result.rows) == 5
+
+        stats = two_table_db.stats
+        two_table_db.execute(f"INSERT INTO r VALUES ({huge}, 1)")
+        key = FunctionalDependency("r", ("a",), ("b",))
+        hippo = HippoEngine(two_table_db, [key], backend=two_table_db.backend)
+        assert stats.backend_fallbacks == 2  # conflict detection
+        assert len(hippo.raw_answers("SELECT * FROM r").rows) == 6
+        assert stats.backend_fallbacks == 3
+        # Re-entering the database's executor must not count it twice.
+        rewriting = RewritingEngine(two_table_db, [key])
+        answers = rewriting.consistent_answers(
+            "SELECT * FROM r", backend=two_table_db.backend
+        )
+        assert (huge, 1) in answers.rows
+        assert stats.backend_fallbacks == 4
 
     def test_dml_stays_native(self, two_table_db):
         two_table_db.attach_backend(SQLiteBackend())

@@ -1,5 +1,6 @@
 # hippolint-fixture: src/repro/engine/example.py
-"""Bad: interpolated SQL flows through variables into execute sinks."""
+"""Bad: interpolated SQL reaches execute sinks, directly or through
+variables."""
 
 
 def fetch(conn: object, table: str) -> list:
@@ -12,3 +13,10 @@ def purge(conn: object, table: str, keep: int) -> None:
     statement = "DELETE FROM " + table
     statement += " WHERE id > %d" % keep
     conn.execute(statement)
+
+
+def store(db, conn, name, tid, row) -> None:
+    db.execute(f"INSERT INTO {name} VALUES ({tid})")
+    db.query("SELECT * FROM " + name)
+    conn.execute("DELETE FROM %s" % name)
+    conn.executemany("INSERT INTO {} VALUES (?)".format(name), [row])

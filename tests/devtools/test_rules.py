@@ -72,11 +72,21 @@ def test_no_orphan_fixtures():
 
 
 def test_registry_is_complete():
-    assert len(RULE_IDS) == 15
+    assert len(RULE_IDS) == 14
     assert RULE_IDS == sorted(RULE_IDS)
     for rule in all_rules():
         assert rule.summary, f"{rule.id} lacks a summary"
         assert rule.rationale, f"{rule.id} lacks a rationale"
+
+
+def test_sql_taint_flags_interpolation_at_the_sink():
+    """HL015 also covers interpolation written into the execute call
+    itself: each line of ``store`` in ``HL015_bad.py`` is a finding."""
+    source, path = load_fixture("HL015_bad")
+    flagged = {diagnostic.line for diagnostic in findings_for("HL015", source, path)}
+    lines = source.splitlines()
+    first = lines.index("def store(db, conn, name, tid, row) -> None:") + 2
+    assert set(range(first, first + 4)) <= flagged
 
 
 # ------------------------------------------------------------- suppressions

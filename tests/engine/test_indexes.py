@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Database
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, TypeError_
 
 
 @pytest.fixture
@@ -102,10 +102,15 @@ class TestIndexScanPlanning:
 
     def test_results_identical_with_index(self, db):
         query = "SELECT * FROM t WHERE a = 1 AND b > 5"
+        mismatched = "SELECT * FROM t WHERE a = 'x'"
         before = db.query(query).as_set()
+        with pytest.raises(TypeError_):
+            db.query(mismatched)
         db.execute("CREATE INDEX idx_a ON t (a)")
         assert db.query(query).as_set() == before
         assert "IndexScan" in db.explain(query)
+        with pytest.raises(TypeError_):  # an index never changes an outcome
+            db.query(mismatched)
 
     def test_index_scan_touches_fewer_rows(self, db):
         db.execute("CREATE INDEX idx_a ON t (a)")

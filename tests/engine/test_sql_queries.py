@@ -88,6 +88,15 @@ class TestJoins:
             "SELECT * FROM emp e, dept d WHERE e.dept = d.name"
         )
         assert "HashJoin" in plan_text
+        # Whatever its FROM position, a source takes its own conjuncts
+        # before it is joined.
+        for from_list in ("emp e, dept d", "dept d, emp e"):
+            plan_text = db.explain(
+                f"SELECT e.name FROM {from_list}"
+                " WHERE e.dept = d.name AND d.budget > 150"
+            )
+            assert "HashJoin" in plan_text
+            assert "    Filter\n      Scan(dept)" in plan_text
 
     def test_non_equi_join_uses_nested_loop(self, db):
         plan_text = db.explain(
@@ -178,6 +187,8 @@ class TestErrors:
     def test_ambiguous_column(self, db):
         with pytest.raises(PlanError, match="ambiguous"):
             db.query("SELECT name FROM emp, dept")
+        with pytest.raises(PlanError, match="ambiguous"):
+            db.query("SELECT * FROM emp, dept WHERE name = 'cs'")
 
     def test_unknown_alias_star(self, db):
         with pytest.raises(PlanError):

@@ -6,6 +6,7 @@ from repro.engine.types import SQLType
 from repro.errors import AlgebraError
 from repro.ra import (
     CatalogSchemaProvider,
+    compile_core,
     evaluate_core,
     evaluate_tree,
     from_sql_query,
@@ -70,10 +71,18 @@ class TestEvaluateTree:
         assert evaluate_tree(tree, two_table_db) == {(2, 5), (4, 4)}
 
     def test_matches_engine_sql(self, two_table_db):
-        text = "SELECT r.a, r.b, s.b FROM r, s WHERE r.a = s.a AND r.b < 9"
-        tree = tree_of(two_table_db, text)
-        engine_rows = frozenset(two_table_db.query(text).rows)
-        assert evaluate_tree(tree, two_table_db) == engine_rows
+        """Same rows as the SQL engine and, since both run on one join
+        planner, the same plan tree apart from the provenance tids."""
+        for text in (
+            "SELECT r.a, r.b, s.b FROM r, s WHERE r.a = s.a AND r.b < 9",
+            "SELECT r.a, r.b, s.b FROM r, s WHERE r.a = s.a AND s.b < 5",
+            "SELECT s.a, s.b, r.b FROM s, r WHERE r.a = s.a AND r.b > 1",
+        ):
+            tree = tree_of(two_table_db, text)
+            engine_rows = frozenset(two_table_db.query(text).rows)
+            assert evaluate_tree(tree, two_table_db) == engine_rows
+            core_plan = compile_core(tree, two_table_db).explain()
+            assert core_plan.replace(" +tid", "") == two_table_db.explain(text)
 
     def test_roundtrip_through_sql(self, two_table_db):
         text = "SELECT * FROM r WHERE a >= 2 EXCEPT SELECT * FROM s"
