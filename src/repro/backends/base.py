@@ -36,18 +36,15 @@ from repro.sql import ast
 
 @dataclass(frozen=True)
 class BackendCapabilities:
-    """What a backend can do and how to talk to it.
+    """What a backend can do.
 
     Attributes:
-        param_style: key into :data:`repro.ra.to_sql.PARAM_STYLES`; the
-            placeholder dialect the backend's driver expects.
         pushes_sql: whether the backend executes rendered SQL text (SQL
             backends) or native plan objects (the native engine).
         requires_sync: whether relations must be mirrored into the
             backend before queries can run against it.
     """
 
-    param_style: str
     pushes_sql: bool
     requires_sync: bool
 

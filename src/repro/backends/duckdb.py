@@ -22,9 +22,7 @@ from repro.backends.mirror import MirrorBackend
 from repro.engine.types import SQLType
 from repro.errors import BackendError
 
-_CAPABILITIES = BackendCapabilities(
-    param_style="qmark", pushes_sql=True, requires_sync=True
-)
+_CAPABILITIES = BackendCapabilities(pushes_sql=True, requires_sync=True)
 
 _TYPE_NAMES = {
     SQLType.INTEGER: "BIGINT",
@@ -70,7 +68,7 @@ class DuckDBBackend(MirrorBackend):
 
     @property
     def capabilities(self) -> BackendCapabilities:
-        """qmark parameters; pushes SQL; mirrors must be synced."""
+        """Pushes SQL; mirrors must be synced."""
         return _CAPABILITIES
 
     def _connect(self) -> Any:

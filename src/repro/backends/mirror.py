@@ -159,10 +159,7 @@ class MirrorBackend(Backend):
         conn.execute(drop_table_sql(key))
         conn.execute(create_table_sql(key, columns))
         insert = insert_sql(
-            key,
-            schema.arity + 1,
-            style=self.capabilities.param_style,
-            columns=(self.tid_column,) + names,
+            key, schema.arity + 1, columns=(self.tid_column,) + names
         )
         conn.executemany(insert, self._mirror_rows(table))
         for number, positions in enumerate(table.indexed_column_sets()):
@@ -212,7 +209,7 @@ class MirrorBackend(Backend):
         """Render the tree to parameterized SQL and push it down."""
         self.sync()
         try:
-            rendered = render_tree(tree, self.capabilities.param_style)
+            rendered = render_tree(tree)
         except AlgebraError as exc:
             raise BackendError(f"cannot lower tree: {exc}") from exc
         _, rows = self._run(rendered)
@@ -225,7 +222,7 @@ class MirrorBackend(Backend):
         """Render the SELECT to parameterized SQL and push it down."""
         self.sync()
         try:
-            rendered = render_query(query, self.capabilities.param_style)
+            rendered = render_query(query)
         except AlgebraError as exc:
             raise BackendError(f"cannot lower query: {exc}") from exc
         columns, rows = self._run(rendered)
@@ -243,9 +240,7 @@ class MirrorBackend(Backend):
             )
         self.sync()
         try:
-            rendered = render_core_tids(
-                core, self.tid_column, self.capabilities.param_style
-            )
+            rendered = render_core_tids(core, self.tid_column)
         except AlgebraError as exc:
             raise BackendError(f"cannot lower residual join: {exc}") from exc
         _, rows = self._run(rendered)

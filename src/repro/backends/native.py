@@ -16,9 +16,7 @@ from repro.ra.compile import compile_core, evaluate_tree
 from repro.ra.sjud import SJUDCore, SJUDTree
 from repro.sql import ast
 
-_CAPABILITIES = BackendCapabilities(
-    param_style="qmark", pushes_sql=False, requires_sync=False
-)
+_CAPABILITIES = BackendCapabilities(pushes_sql=False, requires_sync=False)
 
 
 class NativeBackend(Backend):

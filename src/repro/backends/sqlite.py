@@ -22,9 +22,7 @@ from repro.backends.base import BackendCapabilities
 from repro.backends.mirror import MirrorBackend
 from repro.engine.types import SQLType
 
-_CAPABILITIES = BackendCapabilities(
-    param_style="qmark", pushes_sql=True, requires_sync=True
-)
+_CAPABILITIES = BackendCapabilities(pushes_sql=True, requires_sync=True)
 
 _TYPE_NAMES = {
     SQLType.INTEGER: "INTEGER",
@@ -43,7 +41,7 @@ class SQLiteBackend(MirrorBackend):
 
     @property
     def capabilities(self) -> BackendCapabilities:
-        """qmark parameters; pushes SQL; mirrors must be synced."""
+        """Pushes SQL; mirrors must be synced."""
         return _CAPABILITIES
 
     def _connect(self) -> sqlite3.Connection:

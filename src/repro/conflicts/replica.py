@@ -15,10 +15,13 @@ three things in lock-step:
    process restart) the replica *streams* the committed prefix of the
    feed to rebuild its database (bounded memory: one segment per topic
    resident at a time), runs full conflict detection on it, and resumes
-   consuming from the cut.
-3. **The conflict hypergraph.**  Past bootstrap, records are folded in
-   through :class:`~repro.conflicts.incremental.IncrementalDetector`, so
-   a replica tracks the primary at delta cost.  The maintained invariant
+   consuming from the cut.  Bootstrap, the snapshot gap and every sync
+   all apply records through the database layer's one replay loop,
+   :func:`~repro.engine.database.replay_records`.
+3. **The conflict hypergraph.**  Past bootstrap, the polled records are
+   handed unchanged to
+   :meth:`~repro.conflicts.incremental.IncrementalDetector.apply_records`,
+   so a replica tracks the primary at delta cost.  The maintained invariant
    -- asserted by the property suite -- is that after every committed
    sync the graph equals full re-detection over the replica database.
 
@@ -58,13 +61,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.conflicts.detection import detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph
 from repro.conflicts.incremental import DeltaStats, IncrementalDetector
-from repro.engine.database import (
-    REPLAY_BATCH_RECORDS,
-    WRITER_GROUP,
-    Database,
-    apply_feed_record,
-    apply_feed_records,
-)
+from repro.engine.database import WRITER_GROUP, Database, replay_records
 from repro.engine.feed import (
     RECORD_CHANGE,
     SCHEMA_TOPIC,
@@ -134,11 +131,6 @@ class ReplicaHypergraph:
         extra_referenced: FK-referenced relations protected by
             constraints *outside* this replica's list (other shards');
             forwarded into detection's restricted-class check.
-        batch_apply: apply polled records to the replica database through
-            the batched :func:`~repro.engine.database.apply_feed_records`
-            (the default) instead of record-at-a-time; the final state is
-            identical either way -- the switch exists so benchmarks can
-            measure the per-record baseline.
         bootstrap: ``"replay"`` (default) streams the committed prefix
             and falls back to the group snapshot only when retention
             truncated it; ``"snapshot"`` restores the group snapshot
@@ -164,14 +156,12 @@ class ReplicaHypergraph:
         checkpoint_records: Optional[int] = None,
         topics: Optional[Iterable[str]] = None,
         extra_referenced: Iterable[str] = (),
-        batch_apply: bool = True,
         bootstrap: str = "replay",
     ) -> None:
         if bootstrap not in ("replay", "snapshot"):
             raise FeedError(f"unknown bootstrap mode {bootstrap!r}")
         self.feed = feed
         self.group = group
-        self.batch_apply = batch_apply
         self._prefer_snapshot = bootstrap == "snapshot"
         #: how the last bootstrap rebuilt the database: ``"replay"``
         #: (committed prefix streamed), ``"snapshot"`` (group snapshot
@@ -245,10 +235,9 @@ class ReplicaHypergraph:
                 # files are read lazily -- a truncation racing us can
                 # still surface as a FeedError mid-replay, so the whole
                 # replay is inside the fallback's try.
-                with self.db.changes.feed.suspended():
-                    self.restore_records = self._apply_stream(
-                        self.feed.iter_records(upto=committed)
-                    )
+                self.restore_records = self._replay(
+                    self.feed.iter_records(upto=committed)
+                )
                 self.restore_mode = "replay"
             except FeedError:
                 self.db = Database()  # discard the half-applied replay
@@ -263,40 +252,16 @@ class ReplicaHypergraph:
             self._detector = None
             self._needs_full = True
 
-    def _apply_stream(self, records: Iterable[FeedRecord]) -> int:
-        """Apply a record stream to the replica database in batches.
-
-        Bootstrap replays feed segments lazily (one resident per topic),
-        so batching must be bounded: records accumulate up to the replay
-        batch size, then one batched apply folds them in.  With
-        ``batch_apply`` off, falls back to record-at-a-time (the
-        benchmark baseline); the resulting state is identical.  Returns
-        the number of records applied (and counts them per topic into
-        ``applied_records``).
-        """
-        applied = 0
-        if not self.batch_apply:
-            for record in records:
-                apply_feed_record(self.db, record)
-                applied += 1
-                self.applied_records[record.topic] = (
-                    self.applied_records.get(record.topic, 0) + 1
-                )
-            return applied
-        batch: list[FeedRecord] = []
-        for record in records:
-            batch.append(record)
-            self.applied_records[record.topic] = (
-                self.applied_records.get(record.topic, 0) + 1
+    def _replay(self, records: Iterable[FeedRecord]) -> int:
+        """Replay ``records`` into the replica database through
+        :func:`~repro.engine.database.replay_records`, counting them per
+        topic into ``applied_records``; returns how many were applied."""
+        counts = replay_records(self.db, records)
+        for topic, count in counts.items():
+            self.applied_records[topic] = (
+                self.applied_records.get(topic, 0) + count
             )
-            if len(batch) >= REPLAY_BATCH_RECORDS:
-                apply_feed_records(self.db, batch)
-                applied += len(batch)
-                batch.clear()
-        if batch:
-            apply_feed_records(self.db, batch)
-            applied += len(batch)
-        return applied
+        return sum(counts.values())
 
     def _restore_from_snapshot(self, committed: dict[str, int]) -> bool:
         """Restore the group's snapshot into the (fresh) database and
@@ -307,11 +272,10 @@ class ReplicaHypergraph:
             return False
         snap_committed, payload = snapshot
         self.applied_records = {}
-        with self.db.changes.feed.suspended():
-            restore_database(self.db, payload)
-            self.restore_records = self._apply_stream(
-                self.feed.iter_records(start=snap_committed, upto=committed)
-            )
+        restore_database(self.db, payload)
+        self.restore_records = self._replay(
+            self.feed.iter_records(start=snap_committed, upto=committed)
+        )
         self.restore_mode = "snapshot"
         return True
 
@@ -463,8 +427,7 @@ class ReplicaHypergraph:
         # 1) Advance the replica database (the durable part of the cut),
         #    batched so a big poll amortizes per-record overhead.
         ddl = any(record.kind != RECORD_CHANGE for record in records)
-        with self.db.changes.feed.suspended():
-            self._apply_stream(records)
+        self._replay(records)
         self._mark("apply")
         # 2) Commit the cut: a crash from here on re-attaches *after*
         #    these records, and full detection rebuilds the graph.

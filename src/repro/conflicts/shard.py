@@ -544,8 +544,6 @@ class ShardWorker(ReplicaHypergraph):
         plan: ShardPlan,
         group: Optional[str] = None,
         snapshots: bool = True,
-        checkpoint_records: Optional[int] = None,
-        batch_apply: bool = True,
         bootstrap: str = "replay",
     ) -> None:
         self.spec = spec
@@ -554,10 +552,8 @@ class ShardWorker(ReplicaHypergraph):
             spec.constraints,
             group=group if group is not None else f"shard-{spec.index}",
             snapshots=snapshots,
-            checkpoint_records=checkpoint_records,
             topics=spec.subscribed,
             extra_referenced=plan.referenced,
-            batch_apply=batch_apply,
             bootstrap=bootstrap,
         )
 

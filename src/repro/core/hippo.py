@@ -327,9 +327,27 @@ class HippoEngine:
 
         The returned :class:`AnswerSet` carries statistics:
         ``candidates`` (envelope size), ``certain`` (core size),
-        ``prover_checked``, ``prover_rejected``, membership-check counts,
-        and per-stage wall-clock times.
+        ``skipped_by_core``, ``prover`` and ``membership`` check counts,
+        per-stage wall-clock times and the hypergraph summary.
         """
+        answers = self._decide_candidates(query, possible=False)
+        answers.stats["hypergraph"] = self.hypergraph.summary()
+        return answers
+
+    def possible_answers(self, query: QueryLike) -> AnswerSet:
+        """Tuples true in *some* repair (the dual of consistent answers).
+
+        Together the two sets bracket the inconsistent database's
+        information: ``consistent <= any-resolution <= possible``.
+        Statistics as for :meth:`consistent_answers`, without the
+        hypergraph summary.
+        """
+        return self._decide_candidates(query, possible=True)
+
+    def _decide_candidates(self, query: QueryLike, possible: bool) -> AnswerSet:
+        """The candidate loop both answer sets share: envelope, then one
+        Prover decision per candidate outside the certain core (which is
+        consistent, hence possible, without a check)."""
         self._sync()
         started = time.perf_counter()
         tree, order_by = self.parse(query)
@@ -346,6 +364,9 @@ class HippoEngine:
         )
         prover = Prover(self.hypergraph, membership)
         grounder = GroundQuery(tree, self._schema)
+        decide = (
+            prover.is_possible_answer if possible else prover.is_consistent_answer
+        )
 
         answers: list[tuple] = []
         skipped_by_core = 0
@@ -357,13 +378,11 @@ class HippoEngine:
                 continue
             if self.membership_strategy == "provenance":
                 membership.prime(provenance_hints(self.db, provenance))
-            phi = grounder.formula_for(candidate)
-            if prover.is_consistent_answer(phi):
+            if decide(grounder.formula_for(candidate)):
                 answers.append(candidate)
         prover_seconds = time.perf_counter() - prover_started
 
         rows = self._order(answers, columns, order_by)
-        total_seconds = time.perf_counter() - started
         stats: dict[str, object] = {
             "candidates": envelope.candidate_count,
             "certain": len(envelope.certain),
@@ -373,50 +392,9 @@ class HippoEngine:
             "membership": membership.stats,
             "envelope_seconds": envelope.seconds,
             "prover_seconds": prover_seconds,
-            "total_seconds": total_seconds,
-            "hypergraph": self.hypergraph.summary(),
+            "total_seconds": time.perf_counter() - started,
         }
         return AnswerSet(columns, rows, stats)
-
-    def possible_answers(self, query: QueryLike) -> AnswerSet:
-        """Tuples true in *some* repair (the dual of consistent answers).
-
-        Together the two sets bracket the inconsistent database's
-        information: ``consistent <= any-resolution <= possible``.
-        """
-        self._sync()
-        started = time.perf_counter()
-        tree, order_by = self.parse(query)
-        columns = list(output_names_of(tree))
-        envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
-        duplicate_free = not any(
-            self.db.catalog.table(name).has_duplicates()
-            for name in self.db.catalog.table_names()
-        )
-        membership = make_membership(
-            self.membership_strategy, self.db, duplicate_free
-        )
-        prover = Prover(self.hypergraph, membership)
-        grounder = GroundQuery(tree, self._schema)
-        answers = []
-        for candidate, provenance in envelope.candidates.items():
-            if self.use_core and candidate in envelope.certain:
-                answers.append(candidate)  # certain implies possible
-                continue
-            if self.membership_strategy == "provenance":
-                membership.prime(provenance_hints(self.db, provenance))
-            if prover.is_possible_answer(grounder.formula_for(candidate)):
-                answers.append(candidate)
-        rows = self._order(answers, columns, order_by)
-        return AnswerSet(
-            columns,
-            rows,
-            {
-                "candidates": envelope.candidate_count,
-                "answers": len(rows),
-                "total_seconds": time.perf_counter() - started,
-            },
-        )
 
     def explain_candidate(self, query: QueryLike, candidate: tuple) -> dict:
         """Why a tuple is / is not a consistent answer.
@@ -427,7 +405,6 @@ class HippoEngine:
         which a repair falsifying the formula exists.
         """
         from repro.core import formula as fm
-        from repro.sql.formatter import format_expression  # noqa: F401
 
         self._sync()
         tree, _ = self.parse(query)

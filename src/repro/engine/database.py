@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 from repro.engine.catalog import Catalog
 from repro.engine.changelog import ChangeLog
 from repro.engine.feed import (
+    OP_INSERT,
     RECORD_CHANGE,
     RECORD_CREATE_TABLE,
     RECORD_DROP_TABLE,
@@ -135,9 +136,9 @@ class Database:
             )
         elif retention is not None:
             raise ExecutionError("retention= requires durable=")
-        #: row-mutation feed consumed by incremental conflict detection;
-        #: an in-memory feed buffers nothing until a cursor is opened.
-        self.changes = ChangeLog(feed=feed) if feed is not None else ChangeLog()
+        #: change bus whose feed incremental conflict detection consumes;
+        #: an in-memory feed buffers nothing until a consumer attaches.
+        self.changes = ChangeLog(feed)
         if checkpoint_records is not None and not self.changes.feed.durable:
             raise ExecutionError("checkpoint_records= needs a durable feed")
         self.catalog = Catalog(self.changes)
@@ -255,32 +256,15 @@ class Database:
         self.restore_mode = "snapshot"
 
     def _replay(self, snapshot: Optional[tuple[dict[str, int], dict]]) -> int:
-        """Apply the feed (past ``snapshot``'s cut, when given); returns
-        the number of records replayed.
-
-        Records are applied in bounded batches through
-        :func:`apply_feed_records`, so replay amortizes per-record
-        overhead while keeping recovery memory proportional to the
-        database plus one batch, not the feed history.
-        """
+        """Apply the feed (past ``snapshot``'s cut, when given) through
+        :func:`replay_records`; returns the number of records replayed."""
         feed = self.changes.feed
         start = None
         if snapshot is not None:
             committed, payload = snapshot
             restore_database(self, payload)
             start = committed
-        count = 0
-        batch: list[FeedRecord] = []
-        with feed.suspended():
-            for record in feed.iter_records(start=start):
-                batch.append(record)
-                count += 1
-                if len(batch) >= REPLAY_BATCH_RECORDS:
-                    apply_feed_records(self, batch)
-                    batch.clear()
-            if batch:
-                apply_feed_records(self, batch)
-        return count
+        return sum(replay_records(self, feed.iter_records(start=start)).values())
 
     # ------------------------------------------------------------- execution
 
@@ -588,10 +572,11 @@ class Database:
 def apply_feed_record(db: Database, record: FeedRecord) -> None:
     """Apply one change-feed record to a database (replay primitive).
 
-    Used by durable-database recovery and by replicas rebuilding their
-    own copy of the state: DDL records create/drop tables, change
-    records restore/delete rows under their original tids (an UPDATE
-    arrives as its delete + insert pair).
+    DDL records create/drop tables, change records restore/delete rows
+    under their original tids (an UPDATE arrives as its delete + insert
+    pair).  :func:`apply_feed_records` dispatches DDL records here; the
+    record-at-a-time loop over this function is the reference the
+    batched replay is checked against.
 
     Raises:
         FeedError: for an unknown record kind.
@@ -600,7 +585,7 @@ def apply_feed_record(db: Database, record: FeedRecord) -> None:
 
     if record.kind == RECORD_CHANGE:
         table = db.catalog.table(record.topic)
-        if record.op == "insert":
+        if record.op == OP_INSERT:
             table.restore(record.tid, record.row)
         else:
             table.delete(record.tid)
@@ -612,6 +597,34 @@ def apply_feed_record(db: Database, record: FeedRecord) -> None:
         db.catalog.drop_table(record.table, if_exists=True)
         return
     raise FeedError(f"unknown feed record kind {record.kind!r}")
+
+
+def replay_records(
+    db: Database, records: Iterable[FeedRecord]
+) -> dict[str, int]:
+    """Replay a record stream into ``db``: the one feed-replay loop.
+
+    Durable-database recovery, replica bootstrap (prefix or snapshot
+    gap) and replica sync all apply records through here.  Publishing
+    to ``db``'s own feed is suspended (replay is history, not new
+    history), and records are applied in :data:`REPLAY_BATCH_RECORDS`
+    batches through :func:`apply_feed_records`, so replay amortizes
+    per-record overhead while memory stays bounded by the database plus
+    one batch -- ``records`` may be a lazy stream over a long history.
+    Returns the number of records applied per topic.
+    """
+    counts: dict[str, int] = {}
+    batch: list[FeedRecord] = []
+    with db.changes.feed.suspended():
+        for record in records:
+            batch.append(record)
+            counts[record.topic] = counts.get(record.topic, 0) + 1
+            if len(batch) >= REPLAY_BATCH_RECORDS:
+                apply_feed_records(db, batch)
+                batch.clear()
+        if batch:
+            apply_feed_records(db, batch)
+    return counts
 
 
 def apply_feed_records(db: Database, records: Sequence[FeedRecord]) -> None:

@@ -105,6 +105,10 @@ RECORD_CHANGE = "change"
 RECORD_CREATE_TABLE = "create_table"
 RECORD_DROP_TABLE = "drop_table"
 
+#: Ops a change record can carry.  UPDATE is published as DELETE + INSERT.
+OP_INSERT = "insert"
+OP_DELETE = "delete"
+
 #: The topic DDL records are published to.
 SCHEMA_TOPIC = "_schema"
 
@@ -117,6 +121,9 @@ TRANSFER_PREFIX = "__transfer__."
 
 #: Manifest file name inside a feed directory.
 MANIFEST = "manifest.json"
+
+#: Capacity of the parsed-sealed-segment LRU.
+SEGMENT_CACHE_SEGMENTS = 4
 
 #: The non-finite floats JSON cannot carry, by their wire tag.
 _NONFINITE = {
@@ -179,7 +186,7 @@ class FeedRecord:
         kind: :data:`RECORD_CHANGE` or one of the DDL kinds.
         tid: tuple id (change records).
         row: the row as stored (change records).
-        op: ``"insert"`` / ``"delete"`` (change records).
+        op: :data:`OP_INSERT` / :data:`OP_DELETE` (change records).
         table: table name (DDL records).
         schema: serialized table schema (``create_table`` records).
     """
@@ -383,7 +390,6 @@ class ChangeFeed:
             (truncation plus rewriting the surviving records of the
             oldest partially-consumed sealed segment; see
             :meth:`compact`).
-        cache_segments: capacity of the parsed-sealed-segment LRU.
     """
 
     def __init__(
@@ -394,7 +400,6 @@ class ChangeFeed:
         segment_records: int = 4096,
         fsync: str = "rotate",
         retention: str = "keep",
-        cache_segments: int = 4,
     ) -> None:
         if fsync not in ("rotate", "always"):
             raise FeedError(f"unknown fsync policy {fsync!r}")
@@ -430,7 +435,7 @@ class ChangeFeed:
         #: poll (live tailing); the single writer's memory is
         #: authoritative, so writers never re-scan.
         self._published = False
-        self._cache = _SegmentCache(cache_segments)
+        self._cache = _SegmentCache(SEGMENT_CACHE_SEGMENTS)
         self._streaming = 0  # records held by in-flight stream chunks
         self._manifest_lock_depth = 0
         #: (st_mtime_ns, st_size) of the manifest at last read -- lets
@@ -764,19 +769,6 @@ class ChangeFeed:
             self._iter_stream(topic, low, high) for topic, low, high in plans
         ]
         return heapq.merge(*iterators, key=_seq_of)
-
-    def records_upto(self, committed: dict[str, int]) -> list[FeedRecord]:
-        """All records strictly below ``committed``, seq order.
-
-        This is the *committed prefix* a re-attaching replica rebuilds
-        its state from -- materialized; prefer :meth:`iter_records` for
-        long histories.
-
-        Raises:
-            FeedError: when part of the prefix is no longer retained
-                (in-memory overflow, or durable retention truncation).
-        """
-        return list(self.iter_records(upto=committed))
 
     # ------------------------------------------------------------ resident
 

@@ -11,14 +11,21 @@ The value index (value tuple -> set of tids) also serves the engine's point
 membership lookups, which is how the paper's base system answers the
 Prover's membership checks "by simply executing the appropriate membership
 queries on the database".
+
+Every mutation is published straight to the database's change feed as
+``(relation, tid, row, op)`` -- the fields of the one row-change record,
+:class:`~repro.engine.feed.FeedRecord`, that every consumer polls.
+Replay (:meth:`Table.restore`, :meth:`Table.apply_changes`) publishes
+nothing: it re-applies history, it does not make new history.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
-from repro.engine.changelog import OP_DELETE, OP_INSERT, Change, ChangeLog
+from repro.engine.changelog import ChangeLog
 from repro.engine.columnar import ColumnStore
+from repro.engine.feed import OP_DELETE, OP_INSERT
 from repro.engine.schema import TableSchema
 from repro.engine.types import SQLValue
 from repro.errors import ExecutionError
@@ -34,9 +41,9 @@ class Table:
     handles duplicates explicitly (see ``repro.core.facts``).
 
     When a :class:`~repro.engine.changelog.ChangeLog` is attached, every
-    mutation is published to it (an UPDATE as delete + insert under the
-    same tid), which is what keeps the conflict hypergraph incrementally
-    maintainable.
+    mutation is published to its feed (an UPDATE as delete + insert
+    under the same tid), which is what keeps the conflict hypergraph
+    incrementally maintainable.
     """
 
     def __init__(
@@ -126,7 +133,7 @@ class Table:
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
-            self._changelog.record(Change(self._key, tid, row, OP_INSERT))
+            self._changelog.feed.publish_change(self._key, tid, row, OP_INSERT)
         return tid
 
     @property
@@ -238,7 +245,7 @@ class Table:
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
-            self._changelog.record(Change(self._key, tid, row, OP_DELETE))
+            self._changelog.feed.publish_change(self._key, tid, row, OP_DELETE)
 
     def update(self, tid: int, values: Sequence[SQLValue]) -> None:
         """Replace the row stored under ``tid``, keeping the tid stable.
@@ -263,8 +270,9 @@ class Table:
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
-            self._changelog.record(Change(self._key, tid, old_row, OP_DELETE))
-            self._changelog.record(Change(self._key, tid, new_row, OP_INSERT))
+            feed = self._changelog.feed
+            feed.publish_change(self._key, tid, old_row, OP_DELETE)
+            feed.publish_change(self._key, tid, new_row, OP_INSERT)
 
     # --------------------------------------------------------------- access
 

@@ -27,7 +27,6 @@ from repro.ra.sjud import (
     validate_tree,
 )
 from repro.ra.to_sql import (
-    PARAM_STYLES,
     ParameterizedSQL,
     render_core_tids,
     render_query,
@@ -55,7 +54,6 @@ __all__ = [
     "evaluate_core",
     "evaluate_tree",
     "unrestricted",
-    "PARAM_STYLES",
     "ParameterizedSQL",
     "render_core_tids",
     "render_query",

@@ -8,13 +8,13 @@ layer exists -- so pushdown backends (:mod:`repro.backends`) can hand the
 rendered SQL to a real driver.
 
 **The lowering contract.**  Pushdown rendering never inlines a literal:
-every :class:`~repro.sql.ast.Literal` becomes a placeholder in the
-backend's parameter style and its value is appended to an ordered
-argument list (:class:`ParameterizedSQL`).  Identifiers go through
-:func:`~repro.sql.formatter.format_identifier` (this module's quoting
-helpers are the only place SQL text may be assembled from strings --
-hippolint rule ``HL015`` enforces that at every execute call site).  All SJUD
-node shapes render: cores (selection, join, restricted projection,
+every :class:`~repro.sql.ast.Literal` becomes a ``?`` placeholder (the
+qmark style every backend driver here takes) and its value is appended
+to an ordered argument list (:class:`ParameterizedSQL`).  Identifiers
+go through :func:`~repro.sql.formatter.format_identifier` (this
+module's quoting helpers are the only place SQL text may be assembled
+from strings -- hippolint rule ``HL015`` enforces that at every execute
+call site).  All SJUD node shapes render: cores (selection, join, restricted projection,
 constant outputs), unions and differences, plus the full condition
 grammar (comparisons, ``AND``/``OR``/``NOT``, ``IS NULL``, ``IN``,
 ``BETWEEN``, ``LIKE``) and the rewriting baseline's ``NOT EXISTS``
@@ -23,9 +23,8 @@ residues.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.engine.types import SQLValue, literal_sql
 from repro.errors import AlgebraError
@@ -33,32 +32,18 @@ from repro.sql import ast
 from repro.sql.formatter import format_identifier, format_query
 from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 
-#: Supported parameter styles: placeholder text per 0-based index.
-PARAM_STYLES: dict[str, Callable[[int], str]] = {
-    "qmark": lambda index: "?",
-    "numeric": lambda index: f":{index + 1}",
-    "named": lambda index: f":p{index}",
-}
-
 
 @dataclass(frozen=True)
 class ParameterizedSQL:
     """Rendered SQL text plus its ordered bound arguments.
 
     Attributes:
-        text: the SQL with placeholders in ``style``.
+        text: the SQL with ``?`` placeholders.
         params: the literal values, in placeholder order.
-        style: one of :data:`PARAM_STYLES` (``"qmark"`` default).
     """
 
     text: str
     params: tuple[SQLValue, ...]
-    style: str = "qmark"
-
-    @property
-    def named_params(self) -> dict[str, SQLValue]:
-        """The arguments as a mapping (for the ``"named"`` style)."""
-        return {f"p{index}": value for index, value in enumerate(self.params)}
 
     def inline(self) -> str:
         """The SQL with literals substituted back -- display/logging only.
@@ -69,33 +54,23 @@ class ParameterizedSQL:
         the renderer itself).
         """
         values = iter(self.params)
-        if self.style == "qmark":
-            parts = self.text.split("?")
-            out = [parts[0]]
-            for part in parts[1:]:
-                out.append(literal_sql(next(values)))
-                out.append(part)
-            return "".join(out)
-        pattern = r":p(\d+)" if self.style == "named" else r":(\d+)"
-        offset = 0 if self.style == "named" else 1
-
-        def substitute(match: "re.Match[str]") -> str:
-            return literal_sql(self.params[int(match.group(1)) - offset])
-
-        return re.sub(pattern, substitute, self.text)
+        parts = self.text.split("?")
+        out = [parts[0]]
+        for part in parts[1:]:
+            out.append(literal_sql(next(values)))
+            out.append(part)
+        return "".join(out)
 
 
 @dataclass
 class _ParamCollector:
     """The ``literals`` hook that parameterizes instead of inlining."""
 
-    style: str
     params: list[SQLValue] = field(default_factory=list)
 
     def __call__(self, value: SQLValue) -> str:
-        placeholder = PARAM_STYLES[self.style](len(self.params))
         self.params.append(value)
-        return placeholder
+        return "?"
 
 
 # ---------------------------------------------------------------------------
@@ -162,34 +137,26 @@ def tree_to_sql(tree: SJUDTree) -> str:
 # ---------------------------------------------------------------------------
 
 
-def render_query(query: ast.Query, style: str = "qmark") -> ParameterizedSQL:
+def render_query(query: ast.Query) -> ParameterizedSQL:
     """Render any query AST with parameterized literals.
 
     Raises:
-        AlgebraError: on an unknown parameter style or an AST node the
-            formatter cannot lower.
+        AlgebraError: on an AST node the formatter cannot lower.
     """
-    if style not in PARAM_STYLES:
-        raise AlgebraError(
-            f"unknown parameter style {style!r};"
-            f" expected one of {sorted(PARAM_STYLES)}"
-        )
-    collector = _ParamCollector(style)
+    collector = _ParamCollector()
     try:
         text = format_query(query, collector)
     except TypeError as exc:
         raise AlgebraError(f"cannot lower query to SQL: {exc}") from exc
-    return ParameterizedSQL(text, tuple(collector.params), style)
+    return ParameterizedSQL(text, tuple(collector.params))
 
 
-def render_tree(tree: SJUDTree, style: str = "qmark") -> ParameterizedSQL:
+def render_tree(tree: SJUDTree) -> ParameterizedSQL:
     """Render an SJUD tree with parameterized literals."""
-    return render_query(tree_to_query(tree), style)
+    return render_query(tree_to_query(tree))
 
 
-def render_core_tids(
-    core: SJUDCore, tid_column: str, style: str = "qmark"
-) -> ParameterizedSQL:
+def render_core_tids(core: SJUDCore, tid_column: str) -> ParameterizedSQL:
     """Render a core's residual join: outputs plus one tid per atom.
 
     This is the detection-pushdown form: a denial constraint's body
@@ -198,7 +165,7 @@ def render_core_tids(
     are exactly the hyperedges of the conflict hypergraph.
     """
     query = ast.Query(core_to_select(core, tid_column=tid_column))
-    return render_query(query, style)
+    return render_query(query)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +208,7 @@ def create_index_sql(
 
 
 def insert_sql(
-    table: str,
-    arity: int,
-    style: str = "qmark",
-    columns: Optional[Sequence[str]] = None,
+    table: str, arity: int, columns: Optional[Sequence[str]] = None
 ) -> str:
     """Parameterized ``INSERT`` text for a backend mirror (one row).
 
@@ -252,22 +216,15 @@ def insert_sql(
     (how the SQLite backend addresses ``rowid`` to pin native tids).
 
     Raises:
-        AlgebraError: on an unknown parameter style or a column list
-            whose length disagrees with ``arity``.
+        AlgebraError: on a column list whose length disagrees with
+            ``arity``.
     """
-    if style not in PARAM_STYLES:
-        raise AlgebraError(
-            f"unknown parameter style {style!r};"
-            f" expected one of {sorted(PARAM_STYLES)}"
-        )
     if columns is not None and len(columns) != arity:
         raise AlgebraError(
             f"insert into {table!r}: {len(columns)} columns named"
             f" but arity is {arity}"
         )
-    placeholders = ", ".join(
-        PARAM_STYLES[style](index) for index in range(arity)
-    )
+    placeholders = ", ".join("?" for _ in range(arity))
     named = ""
     if columns is not None:
         named = (

@@ -87,7 +87,6 @@ class TestProtocol:
         assert not native.pushes_sql and not native.requires_sync
         sqlite = SQLiteBackend().capabilities
         assert sqlite.pushes_sql and sqlite.requires_sync
-        assert sqlite.param_style == "qmark"
 
     def test_unattached_db_raises(self):
         with pytest.raises(BackendError, match="not attached"):

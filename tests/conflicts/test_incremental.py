@@ -21,7 +21,6 @@ from repro.constraints import (
     FunctionalDependency,
 )
 from repro.constraints.foreign_key import ForeignKeyConstraint
-from repro.engine.changelog import Change, ChangeLog
 from repro.errors import ConstraintError
 from repro.sql.parser import parse_expression
 
@@ -43,46 +42,59 @@ def assert_equivalent(engine: HippoEngine, db: Database, constraints) -> None:
 
 
 class TestChangeLog:
-    def test_nothing_buffered_without_cursor(self):
-        log = ChangeLog()
-        log.record(Change("r", 0, (1,), "insert"))
-        assert log.end == 0
+    """The database's change feed as its in-process consumers see it."""
 
-    def test_cursor_sees_changes_once(self):
-        log = ChangeLog()
-        cursor = log.open_cursor()
-        log.record(Change("r", 0, (1,), "insert"))
-        assert cursor.pending == 1
-        changes, lost = cursor.read()
-        assert not lost and [c.tid for c in changes] == [0]
-        assert cursor.read() == ([], False)
-
-    def test_two_cursors_compact_at_slowest(self):
-        log = ChangeLog()
-        fast, slow = log.open_cursor(), log.open_cursor()
-        log.record(Change("r", 0, (1,), "insert"))
-        fast.read()
-        assert slow.pending == 1
-        changes, lost = slow.read()
-        assert [c.tid for c in changes] == [0] and not lost
-
-    def test_overflow_marks_cursor_lost(self):
-        log = ChangeLog(max_pending=2)
-        cursor = log.open_cursor()
-        for tid in range(4):
-            log.record(Change("r", tid, (tid,), "insert"))
-        assert cursor.lost
-        changes, lost = cursor.read()
-        assert lost and changes == []
-        assert not cursor.lost  # repositioned at the end
-
-    def test_update_emits_delete_then_insert(self):
+    @staticmethod
+    def r_table() -> Database:
         db = Database()
         db.execute("CREATE TABLE r (a INTEGER)")
-        cursor = db.changes.open_cursor()
+        return db
+
+    def test_nothing_buffered_without_cursor(self):
+        db = self.r_table()
+        end = db.changes.end
+        db.execute("INSERT INTO r VALUES (1)")
+        assert db.changes.end == end
+
+    def test_cursor_sees_changes_once(self):
+        db = self.r_table()
+        consumer = db.changes.feed.consumer()
+        tid = db.insert_rows("r", [(1,)])[0]
+        assert consumer.pending == 1
+        records, lost = consumer.poll()
+        consumer.commit()
+        assert not lost and [r.tid for r in records] == [tid]
+        assert consumer.poll() == ([], False)
+
+    def test_two_cursors_compact_at_slowest(self):
+        db = self.r_table()
+        feed = db.changes.feed
+        fast, slow = feed.consumer(), feed.consumer()
+        tid = db.insert_rows("r", [(1,)])[0]
+        fast.poll()
+        fast.commit()
+        assert slow.pending == 1
+        records, lost = slow.poll()
+        assert [r.tid for r in records] == [tid] and not lost
+        slow.commit()
+        assert feed.resident_records() == 0  # compacted once both passed
+
+    def test_overflow_marks_cursor_lost(self):
+        db = self.r_table()
+        db.changes.feed.max_retained = 2
+        consumer = db.changes.feed.consumer()
+        db.insert_rows("r", [(tid,) for tid in range(4)])
+        assert consumer.lost
+        records, lost = consumer.poll()
+        assert lost and records == []
+        assert not consumer.lost  # repositioned at the end
+
+    def test_update_emits_delete_then_insert(self):
+        db = self.r_table()
+        consumer = db.changes.feed.consumer()
         tid = db.insert_rows("r", [(1,)])[0]
         db.execute("UPDATE r SET a = 2")
-        ops = [(c.op, c.tid, c.row) for c in cursor.read()[0]]
+        ops = [(r.op, r.tid, r.row) for r in consumer.poll()[0]]
         assert ops == [
             ("insert", tid, (1,)),
             ("delete", tid, (1,)),
@@ -212,7 +224,7 @@ class TestIncrementalDenials:
 
     def test_overflow_falls_back_to_full(self):
         db, engine, constraints = self.fd_engine()
-        db.changes._max_pending = 3
+        db.changes.feed.max_retained = 3
         for salary in range(100, 110):
             db.execute(f"INSERT INTO emp VALUES ('x{salary}', {salary})")
         engine.refresh()

@@ -282,7 +282,7 @@ class TestFeedReplayEquivalence:
 
 class TestReplicaBatchApply:
     def test_batch_and_per_record_replicas_agree(self, tmp_path):
-        from repro.conflicts import ReplicaHypergraph
+        from repro.conflicts import ReplicaHypergraph, detect_conflicts
         from repro.constraints import FunctionalDependency
 
         directory = str(tmp_path / "db")
@@ -297,19 +297,26 @@ class TestReplicaBatchApply:
         feed_a = ChangeFeed(directory)
         batched = ReplicaHypergraph(feed_a, [fd], group="batched")
         feed_b = ChangeFeed(directory)
-        plain = ReplicaHypergraph(
-            feed_b, [fd], group="plain", batch_apply=False
-        )
-        for replica in (batched, plain):
-            replica.sync()
-        assert (
-            batched.graph.as_dict() == plain.graph.as_dict()
-        )
+
+        def per_record_graph() -> dict:
+            # The reference: the replica's committed prefix replayed
+            # record by record on a second reader instance.
+            feed_b.refresh()
+            plain = Database()
+            with plain.changes.feed.suspended():
+                for record in feed_b.iter_records(upto=batched.committed):
+                    apply_feed_record(plain, record)
+            assert sorted(plain.table("emp").items()) == sorted(
+                batched.db.table("emp").items()
+            )
+            return detect_conflicts(plain, [fd]).hypergraph.as_dict()
+
+        batched.sync()
+        assert batched.graph.as_dict() == per_record_graph()
         db.execute("INSERT INTO emp VALUES ('bob', 6)")
         db.changes.feed.flush()
-        for replica in (batched, plain):
-            replica.sync()
-        assert batched.graph.as_dict() == plain.graph.as_dict()
+        batched.sync()
+        assert batched.graph.as_dict() == per_record_graph()
         assert len(batched.graph.as_dict()) == 2
         feed_a.close()
         feed_b.close()

@@ -148,13 +148,13 @@ class TestRetention:
         records, lost = consumer.poll()
         assert not lost and [r.tid for r in records] == [9]
 
-    def test_records_upto_raises_past_retention(self):
+    def test_prefix_replay_raises_past_retention(self):
         feed = ChangeFeed(max_retained=2)
         feed.consumer("g")
         for tid in range(4):
             publish(feed, "r", tid, tid)
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto({"r": 3})
+            list(feed.iter_records(upto={"r": 3}))
 
     def test_subscribed_groups_compact_their_own_topics_only(self):
         feed = ChangeFeed()
@@ -347,7 +347,7 @@ class TestCommitDurabilityOrdering:
             publish(feed, "r", 0, 0)
         reopened = ChangeFeed(directory)
         with pytest.raises(FeedError, match="past the end"):
-            reopened.records_upto({"r": 5})
+            list(reopened.iter_records(upto={"r": 5}))
 
 
 class TestPollMerging:
@@ -390,7 +390,7 @@ class TestValueRoundTrip:
         with ChangeFeed(directory) as feed:
             feed.publish_change("r", 0, row, "insert")
         reopened = ChangeFeed(directory)
-        (record,) = reopened.records_upto(reopened.end_offsets())
+        (record,) = list(reopened.iter_records(upto=reopened.end_offsets()))
         return record.row
 
     def test_non_finite_reals_round_trip(self, tmp_path):
@@ -621,7 +621,7 @@ class TestRetentionTruncation:
         consumer.poll()
         consumer.commit()
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto({"r": 6})
+            list(feed.iter_records(upto={"r": 6}))
         feed.close()
 
     def test_keep_policy_never_deletes(self, tmp_path):
@@ -664,7 +664,7 @@ class TestRetentionTruncation:
         records, lost = late.poll()
         assert lost and records == []
         with pytest.raises(FeedError, match="no longer retained"):
-            reader.records_upto({"r": 6})
+            list(reader.iter_records(upto={"r": 6}))
         feed.close()
         reader.close()
 
@@ -869,7 +869,7 @@ class TestSegmentCompaction:
             6, 7, 8, 9, 10, 11,
         ]
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto({"r": 6})
+            list(feed.iter_records(upto={"r": 6}))
         # The feed keeps appending and consuming past the rewrite.
         publish(feed, "r", 12, 12)
         records, lost = consumer.poll()
@@ -1152,7 +1152,7 @@ class TestWriterRecovery:
         (emp,) = [t for t in feed.topics() if t.name == "emp"]
         assert emp.start > 0  # a full replay is genuinely impossible now
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto(feed.end_offsets())
+            list(feed.iter_records(upto=feed.end_offsets()))
         expected = dict(db.table("emp").items())
         end = db.changes.end
         feed.close()

@@ -1,7 +1,7 @@
 """Tests for rendering SJUD trees back to SQL.
 
 Covers the display form (``tree_to_sql``), the parameterized pushdown
-form (``render_tree`` / ``render_query`` with every parameter style),
+form (``render_tree`` / ``render_query``, qmark placeholders),
 the residual-join form conflict detection pushes to SQL backends, and
 the quoting/DDL helpers -- plus a round-trip suite asserting rendered
 SQL for every SJUD node shape re-parses and re-compiles to an
@@ -27,7 +27,6 @@ from repro.ra import (
     tree_to_sql,
 )
 from repro.ra.to_sql import (
-    PARAM_STYLES,
     create_index_sql,
     create_table_sql,
     drop_table_sql,
@@ -184,10 +183,7 @@ class TestParameterized:
     @pytest.mark.parametrize("text", TestRoundTrip.QUERIES)
     def test_inline_matches_display_form(self, two_table_db, text):
         tree = tree_of(two_table_db, text)
-        for style in PARAM_STYLES:
-            rendered = render_tree(tree, style)
-            assert rendered.style == style
-            assert rendered.inline() == tree_to_sql(tree)
+        assert render_tree(tree).inline() == tree_to_sql(tree)
 
     @pytest.mark.parametrize("text", TestRoundTrip.QUERIES)
     def test_inline_reparses_equivalently(self, two_table_db, text):
@@ -213,25 +209,10 @@ class TestParameterized:
         rendered = render_tree(tree)
         assert rendered.params == (30, 40, 10, 20)
 
-    def test_numeric_and_named_placeholders(self, two_table_db):
-        tree = tree_of(two_table_db, "SELECT * FROM r WHERE a = 1 AND b = 2")
-        numeric = render_tree(tree, "numeric")
-        assert ":1" in numeric.text and ":2" in numeric.text
-        named = render_tree(tree, "named")
-        assert ":p0" in named.text and ":p1" in named.text
-        assert named.named_params == {"p0": 1, "p1": 2}
-
     def test_no_literals_means_no_params(self, two_table_db):
         rendered = render_tree(tree_of(two_table_db, "SELECT * FROM r"))
         assert rendered.params == ()
         assert "?" not in rendered.text
-
-    def test_unknown_style_rejected(self, two_table_db):
-        tree = tree_of(two_table_db, "SELECT * FROM r")
-        with pytest.raises(AlgebraError, match="parameter style"):
-            render_tree(tree, "pyformat")
-        with pytest.raises(AlgebraError, match="parameter style"):
-            render_query(tree_to_query(tree), "pyformat")
 
     def test_render_query_accepts_plain_ast(self, two_table_db):
         query = parse_query("SELECT a FROM r WHERE a > 7")
@@ -297,8 +278,6 @@ class TestQuotingHelpers:
 
     def test_insert_styles(self):
         assert insert_sql("r", 2).endswith("VALUES (?, ?)")
-        assert insert_sql("r", 2, "numeric").endswith("VALUES (:1, :2)")
-        assert insert_sql("r", 2, "named").endswith("VALUES (:p0, :p1)")
 
     def test_insert_named_columns(self):
         sql = insert_sql("r", 3, columns=["rowid", "a", "b"])
@@ -307,5 +286,3 @@ class TestQuotingHelpers:
     def test_insert_validates(self):
         with pytest.raises(AlgebraError, match="arity"):
             insert_sql("r", 2, columns=["a"])
-        with pytest.raises(AlgebraError, match="parameter style"):
-            insert_sql("r", 2, "pyformat")
